@@ -22,7 +22,10 @@ hash in the error. Injected faults (:mod:`repro.exec.faults`) ride the
 same paths, which is how chaos tests prove the recovery machinery.
 
 Within one ``run()`` call, jobs sharing a content hash execute once;
-the result fans out to every duplicate. Progress callbacks fire in the
+the result fans out to every duplicate. An optional ``group`` hook
+packs the remaining jobs into block jobs (fleet-stepped missions) that
+run like any other job; their results fan out per member, and a
+failed block re-runs its members one by one. Progress callbacks fire in the
 parent process as jobs complete: cache hits first (in job order), then
 executions in completion order.
 """
@@ -51,6 +54,10 @@ from repro.exec.jobspec import JobSpec, json_roundtrip
 #: With ``keep_going``, ``result`` is a :class:`JobFailure` for jobs
 #: that exhausted their attempts.
 ProgressCallback = Callable[[int, int, JobSpec, Any, bool], None]
+
+#: :meth:`Executor.run` batching hook: maps the cache-missed unique jobs
+#: to ``(block_job, member_positions)`` pairs.
+GroupFn = Callable[[List[JobSpec]], List[Tuple[JobSpec, List[int]]]]
 
 #: Schema token of the :class:`JobFailure` plain-data envelope
 #: (registered in :mod:`repro.schemas`, re-exported here).
@@ -193,7 +200,8 @@ class ExecutionReport:
 
     Attributes:
         total: number of jobs submitted.
-        executed: jobs whose callable actually ran (unique executions).
+        executed: jobs whose callable actually ran (unique executions;
+            each member of a block job counts as one).
         cached: jobs served without running -- persistent-cache hits
             plus in-run duplicates of an executed job.
         elapsed_s: wall-clock seconds of the whole run.
@@ -253,13 +261,20 @@ class ExecutionReport:
 # -- attempt machinery ----------------------------------------------------
 
 
-def _attempt(job: JobSpec, attempt: int) -> Any:
-    """Run one attempt of ``job``, applying any injected faults first."""
-    faults.fire_job_faults(job.content_hash(), attempt)
+def _attempt(job: JobSpec, attempt: int, keys: Sequence[str] = ()) -> Any:
+    """Run one attempt of ``job``, applying any injected faults first.
+
+    ``keys`` are the content hashes whose faults fire (default: the
+    job's own); a block job passes its members' hashes.
+    """
+    for key in keys or (job.content_hash(),):
+        faults.fire_job_faults(key, attempt)
     return job.run()
 
 
-def _watchdog_attempt(job: JobSpec, attempt: int, timeout_s: float) -> Any:
+def _watchdog_attempt(
+    job: JobSpec, attempt: int, timeout_s: float, keys: Sequence[str] = ()
+) -> Any:
     """Serial-path attempt with a wall-clock watchdog.
 
     The job body runs in a daemon thread; overrunning ``timeout_s``
@@ -270,7 +285,7 @@ def _watchdog_attempt(job: JobSpec, attempt: int, timeout_s: float) -> Any:
 
     def target() -> None:
         try:
-            box["value"] = _attempt(job, attempt)
+            box["value"] = _attempt(job, attempt, keys)
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
             box["error"] = exc
 
@@ -291,13 +306,24 @@ def _watchdog_attempt(job: JobSpec, attempt: int, timeout_s: float) -> Any:
 
 
 class _Task:
-    """Mutable per-job retry state inside one ``run()`` call."""
+    """Mutable per-job retry state inside one ``run()`` call.
 
-    __slots__ = ("index", "job", "attempts", "timeouts")
+    ``keys`` are the content hashes of the jobs the task stands for --
+    the job itself, or every member of a block job. Injected faults
+    fire per key, and the per-attempt timeout scales with their count.
+    """
 
-    def __init__(self, index: int, job: JobSpec) -> None:
+    __slots__ = ("index", "job", "keys", "timeout_s", "attempts", "timeouts")
+
+    def __init__(
+        self, index: int, job: JobSpec, keys: Tuple[str, ...], policy: RetryPolicy
+    ) -> None:
         self.index = index
         self.job = job
+        self.keys = keys
+        self.timeout_s = (
+            None if policy.timeout_s is None else policy.timeout_s * len(keys)
+        )
         self.attempts = 0  # completed (failed) attempts so far
         self.timeouts = 0
 
@@ -340,7 +366,7 @@ def _failure_from_parts(
 
 
 def _pool_worker(worker_id: int, task_q: Any, result_q: Any) -> None:
-    """Worker-process main loop: pull ``(index, attempt, job)``, push results.
+    """Worker-process main loop: pull ``(index, attempt, job, keys)``, push results.
 
     Results are pre-pickled in the worker so an unpicklable value
     surfaces as that job's error instead of silently wedging the
@@ -350,10 +376,10 @@ def _pool_worker(worker_id: int, task_q: Any, result_q: Any) -> None:
         item = task_q.get()
         if item is None:
             return
-        index, attempt, job = item
+        index, attempt, job, keys = item
         start = time.perf_counter()
         try:
-            value = _attempt(job, attempt)
+            value = _attempt(job, attempt, keys)
             blob = pickle.dumps(value)
         except Exception as exc:  # noqa: BLE001 - relayed to the supervisor
             result_q.put(
@@ -445,6 +471,7 @@ class Executor:
         jobs: Sequence[JobSpec],
         progress: Optional[ProgressCallback] = None,
         refresh: Optional[Callable[[JobSpec], bool]] = None,
+        group: Optional[GroupFn] = None,
     ) -> List[Any]:
         """Execute ``jobs`` and return their results in job order.
 
@@ -459,6 +486,18 @@ class Executor:
                 identically for a deterministic job). Used when a job's
                 side artifacts -- e.g. a mission's flight trace -- are
                 missing although its scalar result is cached.
+            group: optional batching hook, called once with the
+                cache-missed unique jobs. It returns ``(block_job,
+                member_positions)`` pairs covering every position
+                exactly once; each block job runs in place of its
+                members (retries, timeout and pool as for any job) and
+                returns one result per member, in member order. Members
+                are then stored, counted and reported one by one as if
+                they had run alone. A block attempt fires every
+                member's injected faults, and its timeout is the
+                per-job budget times its member count. A block that
+                ends in a failure re-runs its members as plain jobs,
+                so one bad member fails alone.
 
         Returns:
             One (JSON-normalized) result per job, in input order. With
@@ -504,40 +543,74 @@ class Executor:
 
             # 2. Group the remainder by content hash: duplicates of one
             #    computation execute once and fan out.
-            groups: Dict[str, List[int]] = {}
+            dupes: Dict[str, List[int]] = {}
             for i, job in enumerate(jobs):
                 if not served[i]:
-                    groups.setdefault(job.content_hash(), []).append(i)
-            unique = [(indices[0], jobs[indices[0]]) for indices in groups.values()]
+                    dupes.setdefault(job.content_hash(), []).append(i)
+            unique = [indices[0] for indices in dupes.values()]
 
-            outcomes = self._execute(unique)
-            for outcome in outcomes:
-                job = jobs[outcome.index]
-                group = groups[job.content_hash()]
-                retried += outcome.attempts - 1
-                timed_out += outcome.timeouts
-                if outcome.failure is not None:
-                    if not self.keep_going:
-                        raise ExecError(
-                            f"job {outcome.failure.summary()} "
-                            f"(pass keep_going to isolate failures)"
+            # 3. Execute work units -- one per unique job, or the
+            #    caller's blocks -- as (job, member job indices). The
+            #    members of a failed block come back as plain units.
+            blocked = group is not None and bool(unique)
+            if blocked:
+                units = [
+                    (block, [unique[p] for p in positions])
+                    for block, positions in group([jobs[i] for i in unique])
+                ]
+            else:
+                units = [(jobs[i], [i]) for i in unique]
+            while units:
+                fallback: List[int] = []
+                outcomes = self._execute(
+                    [
+                        _Task(
+                            n,
+                            unit,
+                            tuple(jobs[i].content_hash() for i in members),
+                            self.retry,
                         )
-                    failed += len(group)
-                    value: Any = outcome.failure
-                else:
-                    value = json_roundtrip(outcome.value)
-                    if self.cache is not None:
-                        self.cache.put(job, value)
-                    executed += 1
-                    timings.append(
-                        (outcome.job_s, job.label or job.content_hash()[:12])
-                    )
-                for k, i in enumerate(group):
-                    results[i] = value
-                    served[i] = True
-                    done += 1
-                    if progress is not None:
-                        progress(done, total, jobs[i], value, k > 0)
+                        for n, (unit, members) in enumerate(units)
+                    ]
+                )
+                for outcome in outcomes:
+                    members = units[outcome.index][1]
+                    retried += outcome.attempts - 1
+                    timed_out += outcome.timeouts
+                    if blocked and outcome.failure is not None:
+                        fallback.extend(members)
+                        continue
+                    values = outcome.value if blocked else [outcome.value]
+                    for member, member_value in zip(members, values):
+                        job = jobs[member]
+                        copies = dupes[job.content_hash()]
+                        if outcome.failure is not None:
+                            if not self.keep_going:
+                                raise ExecError(
+                                    f"job {outcome.failure.summary()} "
+                                    f"(pass keep_going to isolate failures)"
+                                )
+                            failed += len(copies)
+                            value: Any = outcome.failure
+                        else:
+                            value = json_roundtrip(member_value)
+                            if self.cache is not None:
+                                self.cache.put(job, value)
+                            executed += 1
+                            timings.append(
+                                (
+                                    outcome.job_s / len(members),
+                                    job.label or job.content_hash()[:12],
+                                )
+                            )
+                        for k, i in enumerate(copies):
+                            results[i] = value
+                            served[i] = True
+                            done += 1
+                            if progress is not None:
+                                progress(done, total, jobs[i], value, k > 0)
+                units = [(jobs[i], [i]) for i in sorted(fallback)]
+                blocked = False
         finally:
             if outcomes is not None:
                 close = getattr(outcomes, "close", None)
@@ -566,13 +639,13 @@ class Executor:
 
     # -- backends ---------------------------------------------------------
 
-    def _execute(self, items: List[Tuple[int, JobSpec]]) -> Iterator[_Outcome]:
-        """Yield one final :class:`_Outcome` per item, in any order."""
-        if self.workers > 1 and len(items) > 1:
-            pooled = self._execute_pooled(items, min(self.workers, len(items)))
+    def _execute(self, tasks: List[_Task]) -> Iterator[_Outcome]:
+        """Yield one final :class:`_Outcome` per task, in any order."""
+        if self.workers > 1 and len(tasks) > 1:
+            pooled = self._execute_pooled(tasks, min(self.workers, len(tasks)))
             if pooled is not None:
                 return pooled
-        return (self._serial_outcome(_Task(index, job)) for index, job in items)
+        return (self._serial_outcome(task) for task in tasks)
 
     # -- serial path ------------------------------------------------------
 
@@ -582,11 +655,11 @@ class Executor:
         while True:
             start = time.perf_counter()
             try:
-                if policy.timeout_s is None:
-                    value = _attempt(task.job, task.attempts)
+                if task.timeout_s is None:
+                    value = _attempt(task.job, task.attempts, task.keys)
                 else:
                     value = _watchdog_attempt(
-                        task.job, task.attempts, policy.timeout_s
+                        task.job, task.attempts, task.timeout_s, task.keys
                     )
             except KeyboardInterrupt:
                 raise  # user abort is not a job failure
@@ -625,7 +698,7 @@ class Executor:
     # -- pooled path ------------------------------------------------------
 
     def _execute_pooled(
-        self, items: List[Tuple[int, JobSpec]], n_workers: int
+        self, tasks: List[_Task], n_workers: int
     ) -> Optional[Iterator[_Outcome]]:
         """Supervised worker pool; ``None`` if no worker can be started.
 
@@ -648,7 +721,7 @@ class Executor:
             workers[worker_id] = worker
         if not workers:
             return None  # restricted environment: fall back to serial
-        return self._supervise(items, workers, result_q, next_id=n_workers)
+        return self._supervise(tasks, workers, result_q, next_id=n_workers)
 
     @staticmethod
     def _start_worker(worker_id: int, result_q: Any) -> Optional[_Worker]:
@@ -668,14 +741,13 @@ class Executor:
 
     def _supervise(
         self,
-        items: List[Tuple[int, JobSpec]],
+        tasks: List[_Task],
         workers: Dict[int, _Worker],
         result_q: Any,
         next_id: int,
     ) -> Iterator[_Outcome]:
         """Dispatch/collect loop: retries, deadlines, crash recovery."""
-        policy = self.retry
-        pending = deque(_Task(index, job) for index, job in items)
+        pending = deque(tasks)
         delayed: List[Tuple[float, _Task]] = []  # (due perf_counter, task)
         outstanding = len(pending)
         target_size = len(workers)
@@ -692,11 +764,13 @@ class Executor:
                         task = pending.popleft()
                         worker.current = task
                         worker.deadline = (
-                            now + policy.timeout_s
-                            if policy.timeout_s is not None
+                            now + task.timeout_s
+                            if task.timeout_s is not None
                             else None
                         )
-                        worker.task_q.put((task.index, task.attempts, task.job))
+                        worker.task_q.put(
+                            (task.index, task.attempts, task.job, task.keys)
+                        )
                 try:
                     msg = result_q.get(timeout=_TICK_S)
                 except queue.Empty:
@@ -813,7 +887,7 @@ class Executor:
                     JobTimeout.__name__,
                     f"job {job.label or job.content_hash()[:12]} "
                     f"[{job.content_hash()[:12]}] exceeded the "
-                    f"{self.retry.timeout_s:g} s per-attempt timeout; "
+                    f"{task.timeout_s:g} s per-attempt timeout; "
                     f"worker killed",
                     transient=True,
                     timed_out=True,

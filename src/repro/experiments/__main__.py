@@ -21,17 +21,11 @@ import sys
 import time
 
 from repro.errors import ExecError
-from repro.exec import (
-    Broker,
-    ResultCache,
-    RetryPolicy,
-    default_cache_dir,
-    open_cache,
-)
-from repro.exec.cache import parse_age, parse_size
+from repro.exec import Broker, RetryPolicy, default_cache_dir, open_cache
 from repro.experiments import FULL_SCALE, SMOKE_SCALE
 from repro.experiments import fig3, fig5, fig6, table1, table2, table3, table4
 from repro.obs import ProgressLine
+from repro.obs.store import cache_command
 
 # Every experiment accepts the shared executor knobs: a worker-pool
 # size, an optional persistent result cache, an optional live progress
@@ -71,50 +65,6 @@ _EXPERIMENTS = {
 
 #: Experiments that can shard through ``--broker`` (campaign-backed).
 _BROKER_AWARE = frozenset({"table3", "fig5", "fig6"})
-
-
-def _cmd_cache(names, args) -> int:
-    action = names[1] if len(names) > 1 else "stats"
-    if action not in ("stats", "clear", "evict"):
-        print(
-            f"error: unknown cache action {action!r} (stats, clear, evict)",
-            file=sys.stderr,
-        )
-        return 2
-    cache = ResultCache(args.cache_dir or default_cache_dir())
-    if action == "clear":
-        print(f"removed {cache.clear()} cached results from {cache.directory}")
-        return 0
-    if action == "evict":
-        if args.max_bytes is None and args.max_age is None:
-            print(
-                "error: cache evict needs --max-bytes and/or --max-age",
-                file=sys.stderr,
-            )
-            return 2
-        report = cache.evict(
-            max_bytes=None if args.max_bytes is None else parse_size(args.max_bytes),
-            max_age_s=None if args.max_age is None else parse_age(args.max_age),
-        )
-        print(
-            f"evicted {report.removed_entries} entries "
-            f"(+{report.removed_traces} paired traces, "
-            f"{report.removed_junk} junk files), freed "
-            f"{report.freed_bytes / 1e6:.2f} MB; "
-            f"{report.remaining_bytes / 1e6:.2f} MB remain in {cache.directory}"
-        )
-        return 0
-    stats = cache.stats()
-    print(
-        f"cache {cache.directory}: {stats.entries} results, "
-        f"{stats.total_bytes / 1e6:.2f} MB"
-    )
-    if stats.orphans or stats.quarantined:
-        print(
-            f"  junk: {stats.orphans} orphaned temp files, "
-            f"{stats.quarantined} quarantined corrupt entries"
-        )
-    return 0
 
 
 def main(argv=None) -> int:
@@ -191,10 +141,17 @@ def main(argv=None) -> int:
         return 0
     if args.names[0] == "cache":
         try:
-            return _cmd_cache(args.names, args)
+            lines = cache_command(
+                args.names[1] if len(args.names) > 1 else "stats",
+                args.cache_dir or default_cache_dir(),
+                max_bytes=args.max_bytes,
+                max_age=args.max_age,
+            )
         except ExecError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        print("\n".join(lines))
+        return 0
     names = list(_EXPERIMENTS) if args.names == ["all"] else args.names
     unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:

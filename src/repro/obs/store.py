@@ -13,6 +13,10 @@ cache's entry scan (which only considers bare ``.json`` files), so
 recording never perturbs cache statistics or ``clear()``; symmetric,
 :meth:`TraceStore.clear` only removes traces. Writes are atomic
 (temp file + ``os.replace``), like cache entries.
+
+:func:`cache_command` is the one implementation of the CLIs' ``cache
+stats|clear|evict`` subcommand, which manages both halves of the
+directory.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ import os
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
-from repro.errors import ObsError
-from repro.exec.cache import TRACE_SUFFIX
+from repro.errors import ExecError, ObsError
+from repro.exec.cache import TRACE_SUFFIX, ResultCache, parse_age, parse_size
 from repro.obs.trace import MissionTrace
 
-__all__ = ["TRACE_SUFFIX", "TraceStats", "TraceStore"]
+__all__ = ["TRACE_SUFFIX", "TraceStats", "TraceStore", "cache_command"]
+
+#: Actions of :func:`cache_command`.
+CACHE_ACTIONS = ("stats", "clear", "evict")
 
 
 class TraceStats(NamedTuple):
@@ -188,3 +195,68 @@ class TraceStore:
             except OSError:  # pragma: no cover - racing deletion
                 continue
         return removed
+
+
+def cache_command(
+    action: str,
+    cache_dir: str,
+    max_bytes: Optional[str] = None,
+    max_age: Optional[str] = None,
+) -> List[str]:
+    """Run one ``cache stats|clear|evict`` action; returns its report lines.
+
+    Shared by ``python -m repro.sim cache`` and ``python -m
+    repro.experiments cache``. ``clear`` removes result entries and
+    flight traces alike; ``evict`` takes ``max_bytes`` (``k``/``M``/``G``
+    suffixes) and/or ``max_age`` (``s``/``m``/``h``/``d`` suffixes) and
+    drops paired traces with their entries.
+
+    Raises:
+        ExecError: for an unknown action, or ``evict`` without a budget.
+    """
+    if action not in CACHE_ACTIONS:
+        raise ExecError(
+            f"unknown cache action {action!r} ({', '.join(CACHE_ACTIONS)})"
+        )
+    cache = ResultCache(cache_dir)
+    store = TraceStore(cache.directory)
+    if action == "clear":
+        removed = cache.clear()
+        traces = store.clear()
+        return [
+            f"removed {removed} cached results and {traces} flight traces "
+            f"from {cache.directory}"
+        ]
+    if action == "evict":
+        if max_bytes is None and max_age is None:
+            raise ExecError("cache evict needs --max-bytes and/or --max-age")
+        report = cache.evict(
+            max_bytes=None if max_bytes is None else parse_size(max_bytes),
+            max_age_s=None if max_age is None else parse_age(max_age),
+        )
+        return [
+            f"evicted {report.removed_entries} entries "
+            f"(+{report.removed_traces} paired traces, "
+            f"{report.removed_junk} junk files), freed "
+            f"{report.freed_bytes / 1e6:.2f} MB; "
+            f"{report.remaining_bytes / 1e6:.2f} MB remain in {cache.directory}"
+        ]
+    stats = cache.stats()
+    lines = [
+        f"cache {cache.directory}: {stats.entries} results, "
+        f"{stats.total_bytes / 1e6:.2f} MB"
+    ]
+    if stats.orphans or stats.quarantined:
+        lines.append(
+            f"  junk: {stats.orphans} orphaned temp files, "
+            f"{stats.quarantined} quarantined corrupt entries "
+            f"(remove with `cache evict` or `cache clear`)"
+        )
+    for version, count, nbytes in stats.by_version:
+        lines.append(f"  {version}: {count} entries, {nbytes / 1e6:.2f} MB")
+    tstats = store.stats()
+    lines.append(
+        f"traces: {tstats.traces} recorded flights, "
+        f"{tstats.total_bytes / 1e6:.2f} MB"
+    )
+    return lines

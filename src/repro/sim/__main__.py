@@ -33,15 +33,9 @@ import sys
 import time
 
 from repro.errors import ExecError, ObsError, SimError
-from repro.exec import (
-    Broker,
-    ResultCache,
-    RetryPolicy,
-    default_cache_dir,
-    open_cache,
-)
-from repro.exec.cache import parse_age, parse_size
+from repro.exec import Broker, RetryPolicy, default_cache_dir, open_cache
 from repro.obs import ProgressLine, TraceStore
+from repro.obs.store import CACHE_ACTIONS, cache_command
 from repro.experiments.reporting import ascii_table
 from repro.sim.campaign import Campaign
 from repro.sim.generators import (
@@ -190,58 +184,11 @@ def _summary(result: CampaignResult) -> str:
 
 
 def _cmd_cache(args) -> int:
-    cache = ResultCache(args.cache_dir or default_cache_dir())
-    store = TraceStore(cache.directory)
-    if args.action == "clear":
-        removed = cache.clear()
-        traces = store.clear()
-        print(
-            f"removed {removed} cached results and {traces} flight traces "
-            f"from {cache.directory}"
-        )
-        return 0
-    if args.action == "evict":
-        if args.max_bytes is None and args.max_age is None:
-            raise SimError("cache evict needs --max-bytes and/or --max-age")
-        report = cache.evict(
-            max_bytes=None if args.max_bytes is None else parse_size(args.max_bytes),
-            max_age_s=None if args.max_age is None else parse_age(args.max_age),
-        )
-        print(
-            f"evicted {report.removed_entries} entries "
-            f"(+{report.removed_traces} paired traces, "
-            f"{report.removed_junk} junk files), freed "
-            f"{report.freed_bytes / 1e6:.2f} MB; "
-            f"{report.remaining_bytes / 1e6:.2f} MB remain in {cache.directory}"
-        )
-        return 0
-    stats = cache.stats()
-    print(
-        f"cache {cache.directory}: {stats.entries} results, "
-        f"{stats.total_bytes / 1e6:.2f} MB"
+    lines = cache_command(
+        args.action, args.cache_dir or default_cache_dir(),
+        max_bytes=args.max_bytes, max_age=args.max_age,
     )
-    if stats.orphans or stats.quarantined:
-        print(
-            f"  junk: {stats.orphans} orphaned temp files, "
-            f"{stats.quarantined} quarantined corrupt entries "
-            f"(remove with `cache evict` or `cache clear`)"
-        )
-    if stats.by_version:
-        print(
-            ascii_table(
-                ["job version", "entries", "MB"],
-                [
-                    [version, str(count), f"{nbytes / 1e6:.2f}"]
-                    for version, count, nbytes in stats.by_version
-                ],
-                title="entries by job version",
-            )
-        )
-    tstats = store.stats()
-    print(
-        f"traces: {tstats.traces} recorded flights, "
-        f"{tstats.total_bytes / 1e6:.2f} MB"
-    )
+    print("\n".join(lines))
     return 0
 
 
@@ -300,31 +247,34 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         generated=generated,
     )
+    fleet_block = args.fleet_block
+    fleet = fleet_block is not None and fleet_block > 1
+    for flag, used in (("--broker", args.broker), ("--record", args.record)):
+        if fleet and used:
+            raise SimError(f"--fleet-block {fleet_block} cannot be combined with {flag}")
     total = len(campaign.missions())
     workers = args.workers
     cache = open_cache(args.cache_dir, enabled=not args.no_cache)
-    fleet_block = args.fleet_block
+    pool = None if workers is None or workers == 1 else f"pool({workers or 'auto'})"
     if args.broker:
         mode = f"broker({args.broker})"
-    elif fleet_block is not None and fleet_block > 1 and not args.record:
-        mode = f"fleet(block={fleet_block})"
-    elif workers is None or workers == 1:
-        mode = "serial"
+    elif fleet:
+        mode = f"fleet(block={fleet_block})" + (f" on {pool}" if pool else "")
     else:
-        mode = f"pool({workers or 'auto'})"
+        mode = pool or "serial"
     print(
         f"campaign {campaign.name!r}: {total} missions, {mode}, "
         f"hash {campaign.campaign_hash()[:12]}",
         flush=True,
     )
+    retry = RetryPolicy(
+        max_attempts=args.retries,
+        backoff_s=args.retry_backoff,
+        timeout_s=args.timeout,
+    )
     if args.enqueue_only:
         if not args.broker:
             raise SimError("--enqueue-only needs --broker")
-        retry = RetryPolicy(
-            max_attempts=args.retries,
-            backoff_s=args.retry_backoff,
-            timeout_s=args.timeout,
-        )
         with Broker(args.broker) as broker:
             report = enqueue_campaign(
                 campaign, broker, record=args.record, retry=retry,
@@ -344,11 +294,6 @@ def _cmd_run(args) -> int:
         return 0
     progress_line = (
         ProgressLine(f"campaign {campaign.name!r}") if args.progress else None
-    )
-    retry = RetryPolicy(
-        max_attempts=args.retries,
-        backoff_s=args.retry_backoff,
-        timeout_s=args.timeout,
     )
     start = time.perf_counter()
     broker = Broker(args.broker) if args.broker else None
@@ -464,8 +409,8 @@ def main(argv=None) -> int:
     run.add_argument(
         "--fleet-block", type=int, default=None, metavar="N",
         help="step same-world missions in vectorized lock-step blocks of "
-        "up to N (results byte-identical to serial; ignored with "
-        "--broker/--record)",
+        "up to N, one job per block (results byte-identical to serial; "
+        "not with --broker/--record)",
     )
     run.add_argument("--name", default="cli", help="campaign name used in the result file")
     run.add_argument("--out", default=None, help="directory for the JSON result (default: don't persist)")
@@ -566,7 +511,7 @@ def main(argv=None) -> int:
     cache = sub.add_parser(
         "cache", help="inspect, clear or evict from the result cache"
     )
-    cache.add_argument("action", choices=("stats", "clear", "evict"))
+    cache.add_argument("action", choices=CACHE_ACTIONS)
     cache.add_argument(
         "--cache-dir", default=None,
         help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",

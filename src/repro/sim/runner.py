@@ -9,14 +9,17 @@ content hash keys the persistent result cache. Serial, pooled and
 cache-hit execution produce bit-identical records, merely in a
 different wall-clock order; records are re-sorted by mission index
 inside the :class:`~repro.sim.results.CampaignResult`, which makes the
-paths indistinguishable downstream.
+paths indistinguishable downstream. Fleet mode rides the same executor
+path: a ``group`` hook packs same-world missions into
+:func:`run_fleet_payload` block jobs, whose records are stored and
+reported per mission.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from repro.exec import (
     default_cache_dir,
 )
 from repro.exec import resolve_workers  # noqa: F401  (re-export, see below)
+from repro.exec.executor import GroupFn
 from repro.exec.executor import ProgressCallback as ExecProgressCallback
 from repro.mission.closed_loop import ClosedLoopMission
 from repro.mission.detector_model import CalibratedDetectorModel
@@ -42,6 +46,7 @@ from repro.obs import MissionTrace, TraceStore
 from repro.policies import PolicyConfig, make_policy
 from repro.seeding import seed_provenance
 from repro.sim.campaign import Campaign, MissionSpec
+from repro.sim.fleet import fleet_key, fly_fleet
 from repro.sim.results import CampaignResult, MissionRecord
 
 #: Progress callback signature: ``(done, total, record)``.
@@ -149,6 +154,31 @@ def run_mission_payload(
     return outcome.to_dict()
 
 
+def run_fleet_payload(jobs: List[dict]) -> List[dict]:
+    """Execution-layer entry point: fly one fleet block from plain data.
+
+    Args:
+        jobs: the members' :meth:`~repro.exec.JobSpec.to_dict` forms, as
+            built by :func:`mission_job` -- each a seed-free mission
+            payload plus its seed provenance.
+
+    Returns:
+        One record dict per member, in member order, each equal to what
+        :func:`run_mission_payload` returns for that member.
+    """
+    specs = [
+        MissionSpec.from_dict(
+            {
+                **job["kwargs"]["spec"],
+                "seed_entropy": job["seed_entropy"],
+                "spawn_key": job["spawn_key"],
+            }
+        )
+        for job in jobs
+    ]
+    return [record.to_dict() for record in fly_fleet(specs)]
+
+
 def mission_job(spec: MissionSpec, trace_dir: Optional[str] = None) -> JobSpec:
     """Describe one mission as an execution-layer job.
 
@@ -204,6 +234,44 @@ def campaign_jobs(
         mission_job(spec, trace_dir=trace_dir if record else None)
         for spec in campaign.missions()
     ]
+
+
+def _fleet_grouper(
+    specs: Sequence[MissionSpec], jobs: Sequence[JobSpec], fleet_block: int
+) -> GroupFn:
+    """The executor ``group`` hook of fleet mode.
+
+    Packs cache-missed missions sharing a
+    :func:`~repro.sim.fleet.fleet_key` into blocks of at most
+    ``fleet_block``, in mission order, each flown as one
+    :func:`run_fleet_payload` job.
+    """
+    by_hash = {job.content_hash(): spec for spec, job in zip(specs, jobs)}
+
+    def group(missed: List[JobSpec]) -> List[Tuple[JobSpec, List[int]]]:
+        blocks: List[List[int]] = []
+        open_blocks: dict = {}
+        for pos, job in enumerate(missed):
+            key = fleet_key(by_hash[job.content_hash()])
+            block = open_blocks.get(key)
+            if block is None or len(block) >= fleet_block:
+                block = open_blocks[key] = []
+                blocks.append(block)
+            block.append(pos)
+        return [
+            (
+                JobSpec(
+                    fn="repro.sim.runner:run_fleet_payload",
+                    kwargs={"jobs": [missed[p].to_dict() for p in block]},
+                    version=MISSION_JOB_VERSION,
+                    label=f"fleet of {len(block)} from {missed[block[0]].label}",
+                ),
+                block,
+            )
+            for block in blocks
+        ]
+
+    return group
 
 
 def enqueue_campaign(
@@ -330,146 +398,6 @@ def _drain_broker(
     )
 
 
-def _run_campaign_fleet(
-    campaign: Campaign,
-    fleet_block: int,
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    exec_progress: Optional[ExecProgressCallback],
-    retry: Optional[RetryPolicy],
-    keep_going: bool,
-) -> CampaignResult:
-    """Fleet path of :func:`run_campaign`: step same-world blocks in lock-step.
-
-    Cache hits are served first in mission order (exactly like the
-    executor path); the remaining missions are grouped by
-    :func:`~repro.sim.fleet.fleet_key` into blocks of at most
-    ``fleet_block`` and each block flies as one
-    :func:`~repro.sim.fleet.fly_fleet` call. Every member keeps its own
-    job identity: one cache entry per mission, progress fired per
-    member, and the execution report's per-job wall clocks are the
-    block time amortized over its members. A block that raises falls
-    back to per-mission serial execution (honoring ``retry`` /
-    ``keep_going``), so fleet mode never turns one bad mission into a
-    lost block.
-    """
-    from repro.sim.fleet import fleet_key, fly_fleet
-
-    specs = campaign.missions()
-    jobs = [mission_job(spec) for spec in specs]
-    total = len(jobs)
-    start = time.perf_counter()
-    done = 0
-    payloads: dict = {}  # mission index -> result dict or JobFailure
-    cached_n = 0
-    if cache is not None:
-        for spec, job in zip(specs, jobs):
-            value, hit = cache.get(job)
-            if not hit:
-                continue
-            payloads[spec.index] = value
-            cached_n += 1
-            done += 1
-            if exec_progress is not None:
-                exec_progress(done, total, job, value, True)
-            if progress is not None:
-                progress(done, total, MissionRecord.from_dict(value))
-
-    blocks: List[List[Tuple[MissionSpec, JobSpec]]] = []
-    open_blocks: dict = {}
-    for spec, job in zip(specs, jobs):
-        if spec.index in payloads:
-            continue
-        key = fleet_key(spec)
-        block = open_blocks.get(key)
-        if block is None or len(block) >= fleet_block:
-            block = []
-            open_blocks[key] = block
-            blocks.append(block)
-        block.append((spec, job))
-
-    executed = 0
-    failed_n = 0
-    retried = 0
-    timed_out = 0
-    failures: List[dict] = []
-    # (per-mission amortized seconds, label) of every fresh flight.
-    timings: List[Tuple[float, str]] = []
-    for block in blocks:
-        block_specs = [spec for spec, _ in block]
-        t0 = time.perf_counter()
-        try:
-            records = fly_fleet(block_specs)
-        except Exception:
-            # One bad mission must not sink its block-mates: re-fly the
-            # members individually with the executor's fault tolerance.
-            executor = Executor(
-                workers=None, cache=cache, retry=retry, keep_going=keep_going
-            )
-            member_jobs = [job for _, job in block]
-            member_payloads = executor.run(member_jobs)
-            report = executor.last_report
-            if report is not None:
-                executed += report.executed
-                cached_n += report.cached
-                failed_n += report.failed
-                retried += report.retried
-                timed_out += report.timed_out
-                if report.executed:
-                    timings.append((report.job_min_s, ""))
-                    timings.append((report.job_max_s, report.slowest_label))
-            for (spec, job), payload in zip(block, member_payloads):
-                payloads[spec.index] = payload
-                done += 1
-                if exec_progress is not None:
-                    exec_progress(done, total, job, payload, False)
-                if progress is not None and not isinstance(payload, JobFailure):
-                    progress(done, total, MissionRecord.from_dict(payload))
-            continue
-        per_mission_s = (time.perf_counter() - t0) / len(block)
-        for (spec, job), outcome in zip(block, records):
-            payload = outcome.to_dict()
-            if cache is not None:
-                cache.put(job, payload)
-            payloads[spec.index] = payload
-            executed += 1
-            done += 1
-            timings.append((per_mission_s, job.label or job.content_hash()[:12]))
-            if exec_progress is not None:
-                exec_progress(done, total, job, payload, False)
-            if progress is not None:
-                progress(done, total, MissionRecord.from_dict(payload))
-
-    records_out = []
-    for spec in specs:
-        payload = payloads[spec.index]
-        if isinstance(payload, JobFailure):
-            failures.append({"index": spec.index, **payload.to_dict()})
-        else:
-            records_out.append(MissionRecord.from_dict(payload))
-    fresh = [t for t, _ in timings]
-    report = ExecutionReport(
-        total=total,
-        executed=executed,
-        cached=cached_n,
-        elapsed_s=time.perf_counter() - start,
-        failed=failed_n,
-        retried=retried,
-        timed_out=timed_out,
-        job_min_s=min(fresh) if fresh else 0.0,
-        job_mean_s=sum(fresh) / len(fresh) if fresh else 0.0,
-        job_max_s=max(fresh) if fresh else 0.0,
-        slowest_label=max(timings, key=lambda t: t[0])[1] if timings else "",
-    )
-    return CampaignResult(
-        campaign.to_dict(),
-        campaign.campaign_hash(),
-        records_out,
-        execution=report,
-        failures=failures,
-    )
-
-
 def run_campaign(
     campaign: Campaign,
     workers: Optional[int] = None,
@@ -544,12 +472,13 @@ def run_campaign(
             that share a (world, kind) into blocks of at most this many
             and step each block in lock-step through the vectorized
             :func:`~repro.sim.fleet.fly_fleet` instead of flying
-            missions one by one. Purely a throughput knob: records,
-            cache entries (one per mission, same job hashes) and saved
-            result files are byte-identical to the serial path.
-            Ignored in broker mode and when ``record`` is set (traces
-            are a per-mission serial concern); ``None``/``1`` keeps
-            the historical per-mission paths.
+            missions one by one. Each block is one executor job, so
+            blocks spread over ``workers`` and honor ``retry`` and
+            ``keep_going`` (a failed block re-flies its members one by
+            one). Purely a throughput knob: records, cache entries (one
+            per mission, same job hashes), progress, report counts and
+            saved result files are those of the per-mission path.
+            ``None``/``1`` flies missions one by one.
 
     Returns:
         A :class:`~repro.sim.results.CampaignResult` with one record per
@@ -559,8 +488,9 @@ def run_campaign(
         counters).
 
     Raises:
-        ExecError: for a negative ``workers`` count, or a failed
-            mission without ``keep_going``.
+        ExecError: for a negative ``workers`` count, a failed mission
+            without ``keep_going``, or ``fleet_block`` combined with
+            ``broker`` or ``record``.
 
     Example:
         >>> from repro.sim import Campaign, get_scenario, run_campaign
@@ -578,6 +508,17 @@ def run_campaign(
         >>> result.execution.executed
         1
     """
+    fleet = fleet_block is not None and fleet_block > 1
+    if fleet and broker is not None:
+        raise ExecError(
+            f"fleet_block={fleet_block} cannot be combined with a broker: "
+            f"the queue holds one job per mission"
+        )
+    if fleet and record:
+        raise ExecError(
+            f"fleet_block={fleet_block} cannot be combined with record: "
+            f"flight traces come from the per-mission tick loops"
+        )
     store = None
     if record:
         if trace_dir is None:
@@ -595,11 +536,6 @@ def run_campaign(
             keep_going,
             poll_s,
             wait_timeout_s,
-        )
-    if fleet_block is not None and fleet_block > 1 and not record:
-        return _run_campaign_fleet(
-            campaign, fleet_block, progress, cache, exec_progress, retry,
-            keep_going,
         )
     specs = campaign.missions()
     jobs = [
@@ -622,7 +558,8 @@ def run_campaign(
         # (determinism makes the re-stored result byte-identical).
         def refresh(job):
             return not store.has(job.content_hash())
-    payloads = executor.run(jobs, progress=combined, refresh=refresh)
+    group = _fleet_grouper(specs, jobs, fleet_block) if fleet else None
+    payloads = executor.run(jobs, progress=combined, refresh=refresh, group=group)
     records = []
     failures = []
     for spec, payload in zip(specs, payloads):

@@ -199,3 +199,71 @@ class TestRun:
         # back to the default preset.
         assert main(["run", "--family", "perfect-maze", "--family-seed"]) == 2
         assert "at least one scenario" in capsys.readouterr().err
+
+
+class TestFleetOptions:
+    ARGS = [
+        "run", "--scenario", "paper-room", "--kind", "explore",
+        "--policy", "pseudo-random", "wall-following", "--runs", "2",
+        "--flight-time", "5", "--seed", "3", "--no-cache", "--quiet",
+    ]
+
+    @pytest.mark.parametrize("flag", [["--broker", "queue.db"], ["--record"]])
+    def test_fleet_block_rejects_broker_and_record(self, tmp_path, capsys, flag):
+        if flag[0] == "--broker":
+            flag = ["--broker", str(tmp_path / "queue.db")]
+        assert main(self.ARGS + ["--fleet-block", "4", *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"--fleet-block 4 cannot be combined with {flag[0]}" in err
+
+    def test_fleet_on_pool_mode_line_and_bytes(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--out", str(tmp_path / "serial")]) == 0
+        capsys.readouterr()
+        argv = self.ARGS + [
+            "--fleet-block", "4", "--workers", "2", "--out", str(tmp_path / "fleet"),
+        ]
+        assert main(argv) == 0
+        assert "fleet(block=4) on pool(2)" in capsys.readouterr().out
+        [serial] = os.listdir(tmp_path / "serial")
+        [fleet] = os.listdir(tmp_path / "fleet")
+        with open(tmp_path / "serial" / serial, "rb") as a, open(
+            tmp_path / "fleet" / fleet, "rb"
+        ) as b:
+            assert a.read() == b.read()
+
+
+def _experiments_main(argv):
+    from repro.experiments.__main__ import main as experiments_main
+
+    return experiments_main(argv)
+
+
+class TestCacheCommand:
+    """Both CLIs share one `cache` implementation, traces included."""
+
+    @pytest.mark.parametrize("cli", [main, _experiments_main], ids=["sim", "experiments"])
+    def test_cache_clear_removes_recorded_traces(self, tmp_path, capsys, cli):
+        from repro.obs import TraceStore
+
+        cache_dir = str(tmp_path / "cache")
+        argv = [
+            "run", "--scenario", "paper-room", "--flight-time", "3",
+            "--record", "--quiet", "--cache-dir", cache_dir,
+        ]
+        assert main(argv) == 0
+        assert TraceStore(cache_dir).stats().traces == 1
+        capsys.readouterr()
+        assert cli(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "1 results" in out and "traces: 1 recorded flights" in out
+        assert cli(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 cached results and 1 flight traces" in out
+        assert TraceStore(cache_dir).stats().traces == 0
+        assert cli(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert "0 results" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cli", [main, _experiments_main], ids=["sim", "experiments"])
+    def test_cache_evict_needs_a_budget(self, tmp_path, capsys, cli):
+        assert cli(["cache", "evict", "--cache-dir", str(tmp_path)]) == 2
+        assert "--max-bytes and/or --max-age" in capsys.readouterr().err

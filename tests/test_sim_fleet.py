@@ -14,8 +14,9 @@ when per-sensor seed streams landed.
 import pytest
 
 from repro import schemas
-from repro.errors import MissionError
-from repro.exec import JobFailure, ResultCache
+from repro.errors import ExecError, MissionError
+from repro.exec import Broker, JobFailure, ResultCache, RetryPolicy
+from repro.exec.faults import FaultPlan, FaultSpec, injected
 from repro.sim import Campaign, get_scenario, scenario_names
 from repro.sim.campaign import MissionSpec
 from repro.sim.fleet import fleet_key, fly_fleet
@@ -136,10 +137,11 @@ def _campaign(**overrides):
     return Campaign(**kwargs)
 
 
-def test_run_campaign_fleet_block_byte_identical():
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_campaign_fleet_block_byte_identical(workers):
     campaign = _campaign()
     serial = run_campaign(campaign)
-    fleet = run_campaign(campaign, fleet_block=8)
+    fleet = run_campaign(campaign, fleet_block=8, workers=workers)
     assert fleet.to_json() == serial.to_json()
 
 
@@ -150,7 +152,8 @@ def test_run_campaign_fleet_block_one_uses_serial_path():
     assert fleet.to_json() == serial.to_json()
 
 
-def test_run_campaign_fleet_reports_members_individually(tmp_path):
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_campaign_fleet_reports_members_individually(workers):
     """Progress and the execution report count missions, not blocks."""
     campaign = _campaign()
     n = len(campaign.missions())
@@ -165,11 +168,17 @@ def test_run_campaign_fleet_reports_members_individually(tmp_path):
         exec_seen.append((done, total, cached))
 
     result = run_campaign(
-        campaign, fleet_block=3, progress=progress, exec_progress=exec_progress
+        campaign,
+        fleet_block=3,
+        workers=workers,
+        progress=progress,
+        exec_progress=exec_progress,
     )
     assert [s[0] for s in seen] == list(range(1, n + 1))
     assert all(s[1] == n for s in seen)
     assert len(exec_seen) == n
+    assert not any(cached for _, _, cached in exec_seen)
+    assert sorted(s[2] for s in seen) == [s.index for s in campaign.missions()]
     report = result.execution
     assert report is not None
     assert report.total == n
@@ -181,22 +190,119 @@ def test_run_campaign_fleet_reports_members_individually(tmp_path):
     assert report.slowest_label
 
 
-def test_run_campaign_fleet_shares_cache_with_serial(tmp_path):
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_campaign_fleet_shares_cache_with_serial(tmp_path, workers):
     """Fleet-written cache entries are ordinary per-mission entries."""
     campaign = _campaign()
     n = len(campaign.missions())
     cache = ResultCache(str(tmp_path / "cache"))
-    fleet = run_campaign(campaign, fleet_block=4, cache=cache)
+    fleet = run_campaign(campaign, fleet_block=4, cache=cache, workers=workers)
     assert fleet.execution.executed == n
-    served = run_campaign(campaign, cache=cache)
+    served = run_campaign(campaign, cache=cache, workers=workers)
     assert served.execution.cached == n
     assert served.execution.executed == 0
     assert served.to_json() == fleet.to_json()
     # And the reverse: a fleet run over a warm cache flies nothing.
-    refleet = run_campaign(campaign, fleet_block=4, cache=cache)
+    refleet = run_campaign(campaign, fleet_block=4, cache=cache, workers=workers)
     assert refleet.execution.cached == n
     assert refleet.execution.executed == 0
     assert refleet.to_json() == fleet.to_json()
+    # A fleet run fills the gaps a serial run left, and vice versa.
+    cold = ResultCache(str(tmp_path / "cold"))
+    first = campaign.missions()[:1]
+    cold.put(mission_job(first[0]), fly_mission(first[0])[0].to_dict())
+    mixed = run_campaign(campaign, fleet_block=4, cache=cold, workers=workers)
+    assert mixed.execution.cached == 1
+    assert mixed.execution.executed == n - 1
+    assert mixed.to_json() == fleet.to_json()
+
+
+def _member_hash(campaign, index):
+    return mission_job(campaign.missions()[index]).content_hash()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_campaign_fleet_permanent_fault_fails_one_member(workers):
+    """A block whose member fails permanently re-flies its members alone.
+
+    Only the faulty mission is reported failed, exactly as on the
+    per-mission path; its block-mates keep their records.
+    """
+    campaign = _campaign()
+    plan = FaultPlan(
+        (
+            FaultSpec(
+                kind="raise",
+                match=_member_hash(campaign, 1),
+                attempt=None,
+                permanent=True,
+            ),
+        )
+    )
+    with injected(plan):
+        serial = run_campaign(campaign, keep_going=True)
+        fleet = run_campaign(
+            campaign, fleet_block=8, workers=workers, keep_going=True
+        )
+    assert len(serial.failures) == 1
+    assert fleet.to_json() == serial.to_json()
+    assert fleet.execution.failed == 1
+    assert fleet.execution.executed == len(campaign.missions()) - 1
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_campaign_fleet_transient_fault_retries_block(workers):
+    campaign = _campaign()
+    plan = FaultPlan(
+        (FaultSpec(kind="raise", match=_member_hash(campaign, 2), attempt=0),)
+    )
+    retry = RetryPolicy(max_attempts=2)
+    with injected(plan):
+        serial = run_campaign(campaign, retry=retry, keep_going=True)
+        fleet = run_campaign(
+            campaign, fleet_block=8, workers=workers, retry=retry, keep_going=True
+        )
+    assert not serial.failures
+    assert fleet.to_json() == serial.to_json()
+    assert fleet.execution.retried == 1
+    assert fleet.execution.failed == 0
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_campaign_fleet_block_honors_timeout(workers):
+    """A block's budget is the per-mission timeout times its members."""
+    campaign = _campaign()
+    plan = FaultPlan(
+        (
+            FaultSpec(
+                kind="delay", match=_member_hash(campaign, 0), delay_s=2.5
+            ),
+        )
+    )
+    retry = RetryPolicy(max_attempts=2, timeout_s=0.5)
+    with injected(plan):
+        serial = run_campaign(campaign, retry=retry)
+        fleet = run_campaign(campaign, fleet_block=4, workers=workers, retry=retry)
+    assert serial.execution.timed_out == 1
+    assert fleet.execution.timed_out == 1
+    assert fleet.execution.retried == 1
+    assert fleet.to_json() == serial.to_json()
+
+
+def test_run_campaign_fleet_rejects_broker(tmp_path):
+    with Broker(str(tmp_path / "queue.db")) as broker:
+        with pytest.raises(ExecError, match="fleet_block=4.*broker"):
+            run_campaign(
+                _campaign(), fleet_block=4, broker=broker, wait_timeout_s=5.0
+            )
+        assert broker.counts().pending == 0
+
+
+def test_run_campaign_fleet_rejects_record(tmp_path):
+    with pytest.raises(ExecError, match="fleet_block=4.*record"):
+        run_campaign(
+            _campaign(), fleet_block=4, record=True, trace_dir=str(tmp_path)
+        )
 
 
 # -- the one-time cache re-key ----------------------------------------------
