@@ -41,6 +41,25 @@ PIN_RESULT_SHA256 = (
 PIN_MAZE_JOB_HASH = (
     "8060b6e313f3088647b752de09d502d9f989886a08cbb054cafdb82f2b4ea980"
 )
+#: Full trace fingerprints of FINGERPRINT_CAMPAIGN's two missions per
+#: kind (paper-room, then the generated maze). They pin the recorded
+#: telemetry of both mission kinds bit for bit, so any change to the
+#: tick loop that moves a single recorded float shows here.
+PIN_TRACE_FINGERPRINTS = {
+    "search": (
+        "d67e2f4764f36ac72dc54b6a6dc443ca5ec2bdb58ae608f3e85c5715735c43c3",
+        "de9fb1dd70d502c44386be10ccf311af50cd52de9cdd0268c79d9a5f048a7fb3",
+    ),
+    "explore": (
+        "5e1ccea6d1223f2994fda9888c6b5de2f50806be3ecd04030d4897efa99b38a8",
+        "adb60cda67d6b2f6dc9ae98db5c70e3106ecd531d23214b34557a5cc230f46fa",
+    ),
+}
+#: Phases every recorded mission of a kind times.
+PIN_PHASES = {
+    "explore": {"ranger", "policy", "step", "mocap"},
+    "search": {"ranger", "policy", "step", "mocap", "camera", "detect"},
+}
 
 
 def pin_campaign():
@@ -63,9 +82,21 @@ def explore_campaign():
     )
 
 
+def fingerprint_campaign(kind):
+    return Campaign(
+        name="fp",
+        scenarios=(get_scenario("paper-room"),),
+        generated=(GeneratedSpec.create("perfect-maze", seed=3),),
+        flight_time_s=10.0,
+        seed=11,
+        kind=kind,
+    )
+
+
 class TestRecordingIsFree:
-    def test_record_flag_never_changes_the_record(self):
-        spec = next(iter(pin_campaign().missions()))
+    @pytest.mark.parametrize("campaign", [pin_campaign, explore_campaign])
+    def test_record_flag_never_changes_the_record(self, campaign):
+        spec = next(iter(campaign().missions()))
         plain, no_trace = fly_mission(spec, record=False)
         recorded, trace = fly_mission(spec, record=True)
         assert no_trace is None
@@ -202,6 +233,17 @@ class TestPrePRPins:
         )
         spec = next(iter(campaign.missions()))
         assert mission_job(spec).content_hash() == PIN_MAZE_JOB_HASH
+
+    @pytest.mark.parametrize("kind", ["search", "explore"])
+    def test_trace_fingerprints_unchanged(self, kind):
+        traces = [
+            fly_mission(spec, record=True)[1]
+            for spec in fingerprint_campaign(kind).missions()
+        ]
+        assert tuple(t.fingerprint() for t in traces) == PIN_TRACE_FINGERPRINTS[kind]
+        for trace in traces:
+            assert trace.kind == kind
+            assert set(trace.timings["phases"]) == PIN_PHASES[kind]
 
     def test_campaign_definition_roundtrips(self):
         campaign = pin_campaign()
