@@ -10,7 +10,7 @@ placed target objects detected at least once during the flight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,21 +20,12 @@ from repro.geometry.vec import Vec2
 from repro.mapping.coverage import CoverageSeries
 from repro.mapping.mocap import MotionCaptureTracker
 from repro.mission.detector_model import DetectionChannel, DetectorOperatingPoint
+from repro.mission.loop import CameraSearch, DetectionEvent, final_summary, fly
 from repro.obs import FlightRecorder, MissionTrace
 from repro.policies.base import ExplorationPolicy
 from repro.seeding import SeedLike, spawn_streams
 from repro.world.objects import SceneObject
 from repro.world.room import Room
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """First successful detection of one object."""
-
-    object_name: str
-    object_class: str
-    time_s: float
-    distance_m: float
 
 
 @dataclass
@@ -130,147 +121,32 @@ class ClosedLoopMission:
             self.room, start=self.start, config=self.drone_config, seed=drone_stream
         )
         self.policy.reset(policy_stream)
-        self.channel.reset()
-        rng = np.random.default_rng(detector_stream)
+        search = CameraSearch(
+            drone.camera.observe,
+            self.room.raycaster,
+            self.objects,
+            self.channel,
+            np.random.default_rng(detector_stream),
+            self.operating_point.fps,
+        )
         tracker = MotionCaptureTracker(self.room, start=drone.state.position)
-        series = CoverageSeries()
-        frame_period = 1.0 / self.operating_point.fps
-        first_detection: Dict[str, DetectionEvent] = {}
-        frames = 0
-        distance = 0.0
-        last_pos = drone.state.position
-        n_steps = int(round(self.flight_time_s / drone.dt))
-        recorder = None
-        if not self.record:
-            for _ in range(n_steps):
-                reading = drone.read_ranger()
-                setpoint = self.policy.update(reading, drone.estimated_state)
-                state = drone.step(setpoint)
-                distance += state.position.distance_to(last_pos)
-                last_pos = state.position
-                if tracker.observe(state):
-                    series.append(state.time, tracker.coverage())
-                # Frame times derive from the frame index: repeatedly adding
-                # frame_period accumulates float error over the ~18k ticks of
-                # a 180 s flight and slowly drifts the camera schedule.
-                if state.time + 1e-9 >= frames * frame_period:
-                    frames += 1
-                    observations = drone.camera.observe(
-                        self.room.raycaster, state.position, state.heading, self.objects
-                    )
-                    for obs in self.channel.detect(observations, state, rng):
-                        name = obs.obj.name
-                        if name not in first_detection:
-                            first_detection[name] = DetectionEvent(
-                                object_name=name,
-                                object_class=obs.obj.object_class.value,
-                                time_s=state.time,
-                                distance_m=obs.distance_m,
-                            )
-        else:
-            # Instrumented twin of the loop above: same calls in the
-            # same order (the recorder only observes), plus per-phase
-            # wall-clock accounting and per-tick telemetry capture.
-            # Phase seconds accumulate in locals -- the timing overhead
-            # per tick is a handful of perf_counter() calls.
-            import time as _time
-
-            perf = _time.perf_counter
-            recorder = FlightRecorder("search")
-            rtick = recorder.tick
-            dynamics = drone.dynamics
-            ph_ranger = ph_policy = ph_step = ph_mocap = 0.0
-            ph_camera = ph_detect = 0.0
-            for _ in range(n_steps):
-                t0 = perf()
-                reading = drone.read_ranger()
-                t1 = perf()
-                estimate = drone.estimated_state
-                setpoint = self.policy.update(reading, estimate)
-                t2 = perf()
-                state = drone.step(setpoint)
-                t3 = perf()
-                distance += state.position.distance_to(last_pos)
-                last_pos = state.position
-                sampled = tracker.observe(state)
-                t4 = perf()
-                ph_ranger += t1 - t0
-                ph_policy += t2 - t1
-                ph_step += t3 - t2
-                ph_mocap += t4 - t3
-                if sampled:
-                    coverage = tracker.coverage()
-                    series.append(state.time, coverage)
-                    recorder.coverage_sample(state.time, coverage)
-                if state.time + 1e-9 >= frames * frame_period:
-                    frames += 1
-                    t5 = perf()
-                    observations = drone.camera.observe(
-                        self.room.raycaster,
-                        state.position,
-                        state.heading,
-                        self.objects,
-                    )
-                    t6 = perf()
-                    recorder.frame(state.time, len(observations))
-                    detected = list(self.channel.detect(observations, state, rng))
-                    ph_camera += t6 - t5
-                    ph_detect += perf() - t6
-                    for obs in detected:
-                        name = obs.obj.name
-                        if name not in first_detection:
-                            first_detection[name] = DetectionEvent(
-                                object_name=name,
-                                object_class=obs.obj.object_class.value,
-                                time_s=state.time,
-                                distance_m=obs.distance_m,
-                            )
-                            recorder.detection(
-                                name,
-                                obs.obj.object_class.value,
-                                state.time,
-                                obs.distance_m,
-                            )
-                rtick(
-                    state,
-                    estimate,
-                    setpoint,
-                    reading,
-                    dynamics.collision_count,
-                )
-            recorder.add_phase("ranger", ph_ranger)
-            recorder.add_phase("policy", ph_policy)
-            recorder.add_phase("step", ph_step)
-            recorder.add_phase("mocap", ph_mocap)
-            recorder.add_phase("camera", ph_camera)
-            recorder.add_phase("detect", ph_detect)
-        events = sorted(first_detection.values(), key=lambda e: e.time_s)
+        recorder = FlightRecorder("search") if self.record else None
+        flown = fly(drone, self.policy, tracker, self.flight_time_s, search, recorder)
+        events = search.events()
         result = SearchResult(
             detection_rate=len(events) / len(self.objects),
             events=events,
-            coverage=tracker.coverage(),
-            series=series,
-            frames_processed=frames,
-            collisions=drone.dynamics.collision_count,
-            distance_flown_m=distance,
-            samples=tracker.samples,
-            coverage_raw=tracker.coverage_raw(),
-            reachable_cells=tracker.reachable_cells,
-            grid_cells=tracker.grid.n_cells,
+            frames_processed=search.frames,
+            **flown,
         )
         if recorder is not None:
             self.last_trace = recorder.finish(
-                {
-                    "detection_rate": result.detection_rate,
-                    "coverage": result.coverage,
-                    "coverage_raw": result.coverage_raw,
-                    "collisions": result.collisions,
-                    "distance_flown_m": result.distance_flown_m,
-                    "flight_time_s": self.flight_time_s,
-                    "frames_processed": result.frames_processed,
-                    "n_objects": len(self.objects),
-                    "reachable_cells": result.reachable_cells,
-                    "grid_cells": result.grid_cells,
-                }
+                final_summary(
+                    flown,
+                    detection_rate=result.detection_rate,
+                    flight_time_s=self.flight_time_s,
+                    frames_processed=search.frames,
+                    n_objects=len(self.objects),
+                )
             )
         return result

@@ -16,6 +16,7 @@ from repro.geometry.vec import Vec2
 from repro.mapping.coverage import CoverageSeries
 from repro.mapping.mocap import MotionCaptureTracker
 from repro.mapping.occupancy import OccupancyGrid
+from repro.mission.loop import final_summary, fly
 from repro.obs import FlightRecorder, MissionTrace
 from repro.policies.base import ExplorationPolicy
 from repro.seeding import SeedLike, spawn_streams
@@ -105,87 +106,13 @@ class ExplorationMission:
         )
         self.policy.reset(policy_stream)
         tracker = MotionCaptureTracker(self.room, start=drone.state.position)
-        series = CoverageSeries()
-        distance = 0.0
-        last_pos = drone.state.position
-        n_steps = int(round(self.flight_time_s / drone.dt))
-        recorder = None
-        if not self.record:
-            for _ in range(n_steps):
-                reading = drone.read_ranger()
-                setpoint = self.policy.update(reading, drone.estimated_state)
-                state = drone.step(setpoint)
-                distance += state.position.distance_to(last_pos)
-                last_pos = state.position
-                if tracker.observe(state):
-                    series.append(state.time, tracker.coverage())
-        else:
-            # Instrumented twin of the loop above: same calls in the
-            # same order (the recorder only observes), plus per-phase
-            # wall-clock accounting and per-tick telemetry capture.
-            # Phase seconds accumulate in locals -- the timing overhead
-            # per tick is a handful of perf_counter() calls.
-            import time as _time
-
-            perf = _time.perf_counter
-            recorder = FlightRecorder("explore")
-            rtick = recorder.tick
-            dynamics = drone.dynamics
-            ph_ranger = ph_policy = ph_step = ph_mocap = 0.0
-            for _ in range(n_steps):
-                t0 = perf()
-                reading = drone.read_ranger()
-                t1 = perf()
-                estimate = drone.estimated_state
-                setpoint = self.policy.update(reading, estimate)
-                t2 = perf()
-                state = drone.step(setpoint)
-                t3 = perf()
-                distance += state.position.distance_to(last_pos)
-                last_pos = state.position
-                sampled = tracker.observe(state)
-                t4 = perf()
-                ph_ranger += t1 - t0
-                ph_policy += t2 - t1
-                ph_step += t3 - t2
-                ph_mocap += t4 - t3
-                if sampled:
-                    coverage = tracker.coverage()
-                    series.append(state.time, coverage)
-                    recorder.coverage_sample(state.time, coverage)
-                rtick(
-                    state,
-                    estimate,
-                    setpoint,
-                    reading,
-                    dynamics.collision_count,
-                )
-            recorder.add_phase("ranger", ph_ranger)
-            recorder.add_phase("policy", ph_policy)
-            recorder.add_phase("step", ph_step)
-            recorder.add_phase("mocap", ph_mocap)
+        recorder = FlightRecorder("explore") if self.record else None
+        flown = fly(drone, self.policy, tracker, self.flight_time_s, recorder=recorder)
         result = ExplorationResult(
-            coverage=tracker.coverage(),
-            grid=tracker.grid,
-            series=series,
-            collisions=drone.dynamics.collision_count,
-            flight_time_s=self.flight_time_s,
-            distance_flown_m=distance,
-            samples=tracker.samples,
-            coverage_raw=tracker.coverage_raw(),
-            reachable_cells=tracker.reachable_cells,
-            grid_cells=tracker.grid.n_cells,
+            grid=tracker.grid, flight_time_s=self.flight_time_s, **flown
         )
         if recorder is not None:
             self.last_trace = recorder.finish(
-                {
-                    "coverage": result.coverage,
-                    "coverage_raw": result.coverage_raw,
-                    "collisions": result.collisions,
-                    "distance_flown_m": result.distance_flown_m,
-                    "flight_time_s": result.flight_time_s,
-                    "reachable_cells": result.reachable_cells,
-                    "grid_cells": result.grid_cells,
-                }
+                final_summary(flown, flight_time_s=self.flight_time_s)
             )
         return result

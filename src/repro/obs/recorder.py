@@ -14,20 +14,20 @@ asserts the ceiling).
 
 Phase timing uses :func:`time.perf_counter` -- wall clock, stored in
 the trace's ``timings`` section only, which the replay bit-identity
-contract deliberately ignores (see :mod:`repro.obs.trace`). Mission
-loops accumulate per-phase seconds in local variables and hand the
-totals to :meth:`FlightRecorder.add_phase` once per phase; the
-:meth:`FlightRecorder.phase` context manager offers the same
-accounting for code outside the per-tick hot path.
+contract deliberately ignores (see :mod:`repro.obs.trace`). On a
+recorded flight the tick loop (:func:`repro.mission.loop.fly`) wraps
+each phase callable with :meth:`FlightRecorder.timed`; an unrecorded
+flight calls the bare callables and makes no timing calls.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, TypeVar
 
 from repro.obs.trace import TICK_COLUMNS, MissionTrace
+
+T = TypeVar("T")
 
 
 class FlightRecorder:
@@ -39,10 +39,11 @@ class FlightRecorder:
 
     Example:
         >>> rec = FlightRecorder("explore")
-        >>> with rec.phase("policy"):
-        ...     pass
-        >>> rec.n_ticks
-        0
+        >>> policy = rec.timed("policy", abs)
+        >>> policy(-2)
+        2
+        >>> sorted(rec.phases), rec.n_ticks
+        (['policy'], 0)
     """
 
     def __init__(self, kind: str):
@@ -51,7 +52,12 @@ class FlightRecorder:
         self.frames: Dict[str, List[float]] = {"t": [], "visible": []}
         self.detections: List[List[Any]] = []
         self.coverage: Dict[str, List[float]] = {"t": [], "value": []}
-        self.phases: Dict[str, float] = {}
+        self._clocks: List[Tuple[str, Callable[[], float]]] = []
+
+    @property
+    def phases(self) -> Dict[str, float]:
+        """Wall-clock seconds spent in each timed phase so far."""
+        return {name: elapsed() for name, elapsed in self._clocks}
 
     @property
     def n_ticks(self) -> int:
@@ -112,24 +118,26 @@ class FlightRecorder:
         """Record one first-detection event."""
         self.detections.append([name, object_class, t, distance_m])
 
-    def add_phase(self, name: str, seconds: float) -> None:
-        """Accumulate wall-clock ``seconds`` into phase ``name``."""
-        self.phases[name] = self.phases.get(name, 0.0) + seconds
+    def timed(self, name: str, fn: Callable[..., T]) -> Callable[..., T]:
+        """``fn`` wrapped to add each call's wall-clock seconds to phase ``name``.
 
-    @contextmanager
-    def phase(self, name: str):
-        """Accumulate wall-clock seconds into phase ``name``.
-
-        Usable as ``with recorder.phase("policy"): ...`` around each
-        stage; repeated entries sum. Mission tick loops use
-        :meth:`add_phase` with locally accumulated totals instead --
-        a generator frame per tick is measurable at control rate.
+        Repeated calls sum; wrap each phase once. The phase is listed
+        from the moment it is wrapped, even if never called. The total
+        lives in the closure (a dict update per call is measurable at
+        control rate) and is read by :attr:`phases`.
         """
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_phase(name, time.perf_counter() - start)
+        total = 0.0
+        perf = time.perf_counter
+
+        def timed_call(*args):
+            nonlocal total
+            start = perf()
+            out = fn(*args)
+            total += perf() - start
+            return out
+
+        self._clocks.append((name, lambda: total))
+        return timed_call
 
     def finish(self, final: Dict[str, Any]) -> MissionTrace:
         """Seal the recording into a :class:`MissionTrace`.
@@ -156,5 +164,5 @@ class FlightRecorder:
             detections=self.detections,
             coverage=self.coverage,
             final=final,
-            timings={"ticks": self.n_ticks, "phases": dict(self.phases)},
+            timings={"ticks": self.n_ticks, "phases": self.phases},
         )

@@ -45,7 +45,7 @@ tick.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, cast
+from typing import List, Optional, Sequence, cast
 
 import numpy as np
 
@@ -58,9 +58,10 @@ from repro.geometry.vec import TWO_PI, Vec2, normalize_angle
 from repro.mapping.coverage import CoverageSeries
 from repro.mapping.mocap import MOCAP_RATE_HZ
 from repro.mapping.occupancy import OccupancyGrid
-from repro.mission.closed_loop import DetectionEvent, SearchResult
+from repro.mission.closed_loop import SearchResult
 from repro.mission.detector_model import CalibratedDetectorModel
 from repro.mission.explorer import ExplorationResult
+from repro.mission.loop import CameraSearch
 from repro.policies import ExplorationPolicy, PolicyConfig, make_policy
 from repro.seeding import spawn_streams
 from repro.sensors.camera import HimaxCamera
@@ -176,9 +177,7 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
     # -- per-mission setup --------------------------------------------------
     policies: List[ExplorationPolicy] = []
     readings: List[Optional[RangerReading]] = [None] * n
-    det_rngs: List[np.random.Generator] = []
-    channels: List[CalibratedDetectorModel] = []
-    frame_periods: List[float] = []
+    searches: List[CameraSearch] = []
     objects = scenario.build_objects() if kind == "search" else []
     camera = HimaxCamera(batched=config.batched_sensors)
     scale = np.ones(n, dtype=np.float64)
@@ -193,12 +192,17 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             drone_stream, policy_stream = spawn_streams(seed, 2)
         else:
             drone_stream, policy_stream, detector_stream = spawn_streams(seed, 3)
-            det_rngs.append(np.random.default_rng(detector_stream))
             op = spec.operating_point()
-            channel = CalibratedDetectorModel(op)
-            channel.reset()
-            channels.append(channel)
-            frame_periods.append(1.0 / op.fps)
+            searches.append(
+                CameraSearch(
+                    camera.observe,
+                    caster,
+                    objects,
+                    CalibratedDetectorModel(op),
+                    np.random.default_rng(detector_stream),
+                    op.fps,
+                )
+            )
         policy = make_policy(spec.policy, PolicyConfig(cruise_speed=spec.speed))
         policy.reset(policy_stream)
         policies.append(policy)
@@ -272,8 +276,6 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
     cov_hist = np.zeros((n, n_max), dtype=np.float64)
     collisions = [0] * n
     distance = [0.0] * n
-    frames = [0] * n
-    first_det: List[Dict[str, DetectionEvent]] = [dict() for _ in range(n)]
     records: List[Optional[MissionRecord]] = [None] * n
 
     active = list(range(n))
@@ -288,37 +290,32 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             np.array([times_post[kk] for kk in sampled], dtype=np.float64),
             cov_hist[i, sampled],
         )
-        coverage = int(vreach[i]) / reach_cells
-        coverage_raw = int(vcount[i]) / ncells
+        # The same fields the scalar loop reports (repro.mission.loop.fly).
+        flown = {
+            "coverage": int(vreach[i]) / reach_cells,
+            "series": series,
+            "collisions": collisions[i],
+            "distance_flown_m": distance[i],
+            "samples": None,
+            "coverage_raw": int(vcount[i]) / ncells,
+            "reachable_cells": reach_cells,
+            "grid_cells": ncells,
+        }
         if kind == "explore":
+            # The grid itself is never consumed by the record mapping;
+            # the fleet keeps only the counters.
             explo = ExplorationResult(
-                coverage=coverage,
-                # The grid itself is never consumed by the record
-                # mapping; the fleet keeps only the counters.
                 grid=cast(OccupancyGrid, None),
-                series=series,
-                collisions=collisions[i],
                 flight_time_s=spec.flight_time_s,
-                distance_flown_m=distance[i],
-                samples=None,
-                coverage_raw=coverage_raw,
-                reachable_cells=reach_cells,
-                grid_cells=ncells,
+                **flown,
             )
             return MissionRecord.from_exploration(spec, explo)
-        events = sorted(first_det[i].values(), key=lambda e: e.time_s)
+        events = searches[i].events()
         search = SearchResult(
             detection_rate=len(events) / len(objects),
             events=events,
-            coverage=coverage,
-            series=series,
-            frames_processed=frames[i],
-            collisions=collisions[i],
-            distance_flown_m=distance[i],
-            samples=None,
-            coverage_raw=coverage_raw,
-            reachable_cells=reach_cells,
-            grid_cells=ncells,
+            frames_processed=searches[i].frames,
+            **flown,
         )
         return MissionRecord.from_search(spec, search)
 
@@ -466,27 +463,17 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
         t_post = times_post[k]
         for i in active:
             distance[i] += math.hypot(x_n[i] - x[i], y_n[i] - y[i])
-            if kind == "search" and t_post + 1e-9 >= frames[i] * frame_periods[i]:
-                frames[i] += 1
-                pos = Vec2(x_n[i], y_n[i])
-                state = DroneState(
-                    position=pos,
-                    heading=h_n[i],
-                    vx_body=vx_n[i],
-                    vy_body=vy_n[i],
-                    yaw_rate=wz_n[i],
-                    time=t_post,
+            if searches and t_post + 1e-9 >= searches[i].next_frame_s:
+                searches[i].frame(
+                    DroneState(
+                        position=Vec2(x_n[i], y_n[i]),
+                        heading=h_n[i],
+                        vx_body=vx_n[i],
+                        vy_body=vy_n[i],
+                        yaw_rate=wz_n[i],
+                        time=t_post,
+                    )
                 )
-                observations = camera.observe(caster, pos, h_n[i], objects)
-                for obs in channels[i].detect(observations, state, det_rngs[i]):
-                    name = obs.obj.name
-                    if name not in first_det[i]:
-                        first_det[i][name] = DetectionEvent(
-                            object_name=name,
-                            object_class=obs.obj.object_class.value,
-                            time_s=t_post,
-                            distance_m=obs.distance_m,
-                        )
 
         x, y, h = x_n, y_n, h_n
         vx, vy, wz = vx_n, vy_n, wz_n

@@ -517,7 +517,7 @@ def run_campaign(
     if fleet and record:
         raise ExecError(
             f"fleet_block={fleet_block} cannot be combined with record: "
-            f"flight traces come from the per-mission tick loops"
+            f"flight traces come from the per-mission tick loop"
         )
     store = None
     if record:

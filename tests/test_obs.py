@@ -1,6 +1,7 @@
 """Unit tests of the observability capture layer: trace, recorder, store."""
 
 import io
+import time
 
 import pytest
 
@@ -72,13 +73,14 @@ class TestRecorder:
         for column in TICK_COLUMNS:
             assert len(trace.columns[column]) == 5
 
-    def test_phase_timer_accumulates(self):
+    def test_phase_timer_accumulates(self, monkeypatch):
+        clock = iter(range(100))
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
         rec = FlightRecorder("explore")
-        with rec.phase("policy"):
-            pass
-        with rec.phase("policy"):
-            pass
-        assert rec.phases["policy"] >= 0.0
+        policy = rec.timed("policy", lambda reading, estimate: reading)
+        assert policy("r", "e") == "r"
+        assert policy("r", "e") == "r"
+        assert rec.phases["policy"] == 2.0
         trace = rec.finish({})
         assert trace.timings["ticks"] == 0
         assert "policy" in trace.timings["phases"]

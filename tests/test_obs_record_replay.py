@@ -10,6 +10,7 @@ the second one is a bug, not a schema event.
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -95,9 +96,15 @@ def fingerprint_campaign(kind):
 
 class TestRecordingIsFree:
     @pytest.mark.parametrize("campaign", [pin_campaign, explore_campaign])
-    def test_record_flag_never_changes_the_record(self, campaign):
+    def test_record_flag_never_changes_the_record(self, campaign, monkeypatch):
         spec = next(iter(campaign().missions()))
+        clock_reads = []
+        perf_counter = time.perf_counter
+        monkeypatch.setattr(
+            time, "perf_counter", lambda: clock_reads.append(1) or perf_counter()
+        )
         plain, no_trace = fly_mission(spec, record=False)
+        assert clock_reads == []  # an unrecorded flight times nothing
         recorded, trace = fly_mission(spec, record=True)
         assert no_trace is None
         assert trace is not None and trace.n_ticks > 0
