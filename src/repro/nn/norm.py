@@ -43,18 +43,18 @@ class BatchNorm2d(Module):
             )
         if self.training:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # The float steps of x.var, keeping x - mean for x_hat.
+            x_hat = x - mean[None, :, None, None]
+            var = np.square(x_hat).sum(axis=(0, 2, 3)) / (x.size // self.channels)
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
-            mean = self.running_mean
+            x_hat = x - self.running_mean[None, :, None, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = (
-            self.gamma.data[None, :, None, None] * x_hat
-            + self.beta.data[None, :, None, None]
-        )
+        x_hat *= inv_std[None, :, None, None]
+        out = x_hat * self.gamma.data[None, :, None, None]
+        out += self.beta.data[None, :, None, None]
         self._cache = (x_hat, inv_std)
         return out
 
@@ -64,16 +64,20 @@ class BatchNorm2d(Module):
         x_hat, inv_std = self._cache
         n, _, h, w = grad_out.shape
         m = n * h * w
+        if grad_out.flags.c_contiguous:
+            # Products with a C-contiguous grad_out are C-ordered whatever
+            # x_hat's layout; one copy makes every pass below contiguous.
+            x_hat = np.ascontiguousarray(x_hat)
         self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))
         g = grad_out * self.gamma.data[None, :, None, None]
-        if not self.training:
-            return g * inv_std[None, :, None, None]
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        return (
-            inv_std[None, :, None, None] * (g - sum_g / m - x_hat * sum_gx / m)
-        )
+        if self.training:
+            sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
+            sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+            g -= sum_g / m
+            g -= x_hat * sum_gx / m
+        g *= inv_std[None, :, None, None]
+        return g
 
     def fold_scale_shift(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(scale, shift)`` such that ``y = scale * x + shift`` in eval mode.

@@ -100,9 +100,17 @@ class Trainer:
         self._rng = np.random.default_rng(self.config.seed)
 
     def fit(self, dataset: DetectionDataset) -> TrainingLog:
-        """Run the configured number of epochs; returns the loss log."""
+        """Run the configured number of epochs; returns the loss log.
+
+        Raises:
+            ValueError: ``dataset`` is empty or ``batch_size`` is below 1.
+        """
         cfg = self.config
-        steps_per_epoch = max(1, (len(dataset) + cfg.batch_size - 1) // cfg.batch_size)
+        if cfg.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {cfg.batch_size}")
+        if len(dataset) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        steps_per_epoch = (len(dataset) + cfg.batch_size - 1) // cfg.batch_size
         schedule = ExponentialDecay(
             cfg.learning_rate,
             decay_rate=cfg.decay_rate,
@@ -111,24 +119,26 @@ class Trainer:
         optimizer = RMSProp(self.detector.parameters(), schedule)
         log = TrainingLog()
         self.detector.train(True)
-        for _epoch in range(cfg.epochs):
-            losses = []
-            for images, boxes, labels in dataset.batches(cfg.batch_size, self._rng):
-                if cfg.augment_prob > 0.0:
-                    augmented = [
-                        photometric_augment(
-                            LabeledImage(images[i], boxes[i], labels[i]),
-                            self._rng,
-                            p=cfg.augment_prob,
-                        )
-                        for i in range(images.shape[0])
-                    ]
-                    images = np.stack([a.image for a in augmented])
-                    boxes = [a.boxes for a in augmented]
-                    labels = [a.labels for a in augmented]
-                losses.append(self._step(optimizer, images, boxes, labels))
-            log.epoch_losses.append(float(np.mean(losses)))
-        self.detector.train(False)
+        try:
+            for _epoch in range(cfg.epochs):
+                losses = []
+                for images, boxes, labels in dataset.batches(cfg.batch_size, self._rng):
+                    if cfg.augment_prob > 0.0:
+                        augmented = [
+                            photometric_augment(
+                                LabeledImage(images[i], boxes[i], labels[i]),
+                                self._rng,
+                                p=cfg.augment_prob,
+                            )
+                            for i in range(images.shape[0])
+                        ]
+                        images = np.stack([a.image for a in augmented])
+                        boxes = [a.boxes for a in augmented]
+                        labels = [a.labels for a in augmented]
+                    losses.append(self._step(optimizer, images, boxes, labels))
+                log.epoch_losses.append(float(np.mean(losses)))
+        finally:
+            self.detector.train(False)
         return log
 
     def _step(self, optimizer, images, boxes, labels) -> float:

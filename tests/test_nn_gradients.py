@@ -62,13 +62,20 @@ class TestLayerGradients:
         x = RNG.normal(size=(2, 3, 6, 7))
         assert_grads_match(Conv2d(3, 4, 3, stride=2, padding=1, rng=RNG), x)
 
-    def test_conv2d_1x1(self):
-        x = RNG.normal(size=(2, 4, 3, 3))
-        assert_grads_match(Conv2d(4, 6, 1, rng=RNG), x)
+    # A stride-2 1x1 conv must not take the stride-1 pointwise shortcut.
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_conv2d_1x1(self, stride, bias):
+        x = RNG.normal(size=(2, 4, 3, 4))
+        assert_grads_match(Conv2d(4, 6, 1, stride=stride, bias=bias, rng=RNG), x)
 
-    def test_depthwise(self):
-        x = RNG.normal(size=(2, 3, 6, 7))
-        assert_grads_match(DepthwiseConv2d(3, 3, stride=2, padding=1, rng=RNG), x)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 8)], ids=["5x7", "6x8"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_depthwise(self, stride, hw, bias):
+        x = RNG.normal(size=(2, 3, *hw))
+        layer = DepthwiseConv2d(3, 3, stride=stride, padding=1, bias=bias, rng=RNG)
+        assert_grads_match(layer, x)
 
     def test_batchnorm_train(self):
         x = RNG.normal(size=(3, 4, 3, 3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_openimages_like
+from repro.datasets.base import DetectionDataset
 from repro.evaluation import evaluate_map
 from repro.quantization import QATWeightQuantizer
 from repro.vision import SSDDetector, tiny_spec
@@ -77,4 +78,26 @@ class TestTrainer:
     def test_model_in_eval_mode_after_fit(self, small_dataset):
         det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
         Trainer(det, TrainingConfig(epochs=1, batch_size=16)).fit(small_dataset)
+        assert not det.training
+
+    def test_empty_dataset_rejected(self):
+        det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty"):
+            Trainer(det, TrainingConfig(epochs=1)).fit(DetectionDataset([]))
+
+    def test_zero_batch_size_rejected(self, small_dataset):
+        det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="batch_size"):
+            Trainer(det, TrainingConfig(epochs=1, batch_size=0)).fit(small_dataset)
+
+    def test_eval_mode_restored_when_step_raises(self, small_dataset, monkeypatch):
+        det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
+
+        def failing_step(*args, **kwargs):
+            assert det.training
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(det, "train_step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            Trainer(det, TrainingConfig(epochs=1, augment_prob=0.0)).fit(small_dataset)
         assert not det.training
