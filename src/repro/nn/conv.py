@@ -6,7 +6,7 @@ forward pass and each weight gradient is one ``np.matmul`` over columns
 of input taps.
 
 The kernels compute the same floats as the plain formulation (im2col,
-``np.einsum``, col2im) with far fewer copies. A matmul's summation order
+an einsum contraction, col2im) with far fewer copies. A matmul's summation order
 depends on the shapes and memory layouts of its operands, and the
 BatchNorm that follows a conv sums in the memory order of the array the
 conv returns. So every matmul gets the C-contiguous operands ``einsum``
