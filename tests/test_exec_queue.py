@@ -26,9 +26,9 @@ from repro.exec import (
     Worker,
 )
 from repro.exec.executor import _failure_from_parts
-from repro.exec.faults import FAULT_KINDS
+from repro.exec.faults import FAULT_KINDS, FaultPlan, FaultSpec, injected
 from repro.sim import Campaign, get_scenario, run_campaign
-from repro.sim.runner import enqueue_campaign
+from repro.sim.runner import campaign_jobs, enqueue_campaign
 
 
 def sum_job(i=0, label=""):
@@ -684,3 +684,156 @@ class TestFaultMatrix:
             # every mission's attempt 0 really was shot down and retried
             assert stats["failed_attempts"] == n_missions
             assert stats["leases"]["requeued"] == n_missions
+
+
+def _counters(report):
+    return {
+        name: getattr(report, name)
+        for name in ("total", "executed", "cached", "failed", "retried", "timed_out")
+    }
+
+
+class TestBrokerCollection:
+    """What a brokered ``run_campaign`` reports: execution counters and
+    the ``(done, total, cached)`` progress sequence.
+
+    Every case is timing-free. Either an in-process worker drains the
+    queue before collection starts, or it drains the queue from inside
+    the collector's first between-polls sleep (``time.sleep`` is
+    patched), so the first poll deterministically sees nothing done.
+    """
+
+    @staticmethod
+    def _collect(broker, campaign, **kwargs):
+        seen = []
+        result = run_campaign(
+            campaign,
+            broker=broker,
+            wait_timeout_s=60.0,
+            poll_s=0.01,
+            exec_progress=lambda done, total, job, payload, cached: seen.append(
+                (done, total, cached)
+            ),
+            **kwargs,
+        )
+        return result, seen
+
+    @staticmethod
+    def _drain_on_first_sleep(monkeypatch, broker, **worker_kwargs):
+        reports = []
+
+        def sleep(_seconds):
+            if not reports:
+                reports.append(
+                    Worker(
+                        broker, worker_id="w", poll_s=0.01,
+                        exit_when_drained=True, **worker_kwargs,
+                    ).run()
+                )
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        return reports
+
+    @staticmethod
+    def _saved_bytes(result, directory):
+        with open(result.save(str(directory)), "rb") as f:
+            return f.read()
+
+    def test_queue_drained_before_collection_counts_as_cached(
+        self, tmp_path, serial_smoke
+    ):
+        campaign = _smoke_campaign()
+        with Broker(str(tmp_path / "queue.db")) as broker:
+            enqueue_campaign(campaign, broker)
+            Worker(broker, worker_id="w", poll_s=0.01, exit_when_drained=True).run()
+            result, seen = self._collect(broker, campaign)
+        assert _counters(result.execution) == {
+            "total": 2, "executed": 0, "cached": 2,
+            "failed": 0, "retried": 0, "timed_out": 0,
+        }
+        assert seen == [(1, 2, True), (2, 2, True)]
+        assert self._saved_bytes(result, tmp_path / "out") == serial_smoke[1]
+
+    def test_worker_executions_count_as_executed(
+        self, tmp_path, monkeypatch, serial_smoke
+    ):
+        campaign = _smoke_campaign()
+        with Broker(str(tmp_path / "queue.db")) as broker:
+            reports = self._drain_on_first_sleep(monkeypatch, broker)
+            result, seen = self._collect(broker, campaign)
+        assert reports[0].completed == 2 and reports[0].cache_hits == 0
+        assert _counters(result.execution) == {
+            "total": 2, "executed": 2, "cached": 0,
+            "failed": 0, "retried": 0, "timed_out": 0,
+        }
+        assert seen == [(1, 2, False), (2, 2, False)]
+        assert self._saved_bytes(result, tmp_path / "out") == serial_smoke[1]
+
+    def test_worker_cache_hits_count_as_cached(
+        self, tmp_path, monkeypatch, serial_smoke
+    ):
+        from repro.exec import ResultCache
+
+        campaign = _smoke_campaign()
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_campaign(campaign, cache=cache)
+        with Broker(str(tmp_path / "queue.db")) as broker:
+            reports = self._drain_on_first_sleep(monkeypatch, broker, cache=cache)
+            result, seen = self._collect(broker, campaign)
+        assert reports[0].cache_hits == 2
+        assert _counters(result.execution) == {
+            "total": 2, "executed": 0, "cached": 2,
+            "failed": 0, "retried": 0, "timed_out": 0,
+        }
+        assert seen == [(1, 2, True), (2, 2, True)]
+        assert self._saved_bytes(result, tmp_path / "out") == serial_smoke[1]
+
+    def test_keep_going_reports_the_exhausted_mission(self, tmp_path, monkeypatch):
+        campaign = _smoke_campaign()
+        hashes = [job.content_hash() for job in campaign_jobs(campaign)]
+        # mission 0 fails every attempt; mission 1 only its first
+        plan = FaultPlan(
+            (
+                FaultSpec(kind="raise", match=hashes[0], attempt=None),
+                FaultSpec(kind="raise", match=hashes[1], attempt=0),
+            )
+        )
+        retry = RetryPolicy(max_attempts=3)
+        with injected(plan):
+            serial = run_campaign(campaign, retry=retry, keep_going=True)
+            with Broker(str(tmp_path / "queue.db")) as broker:
+                reports = self._drain_on_first_sleep(monkeypatch, broker)
+                result, seen = self._collect(
+                    broker, campaign, retry=retry, keep_going=True
+                )
+        assert (reports[0].completed, reports[0].failed) == (1, 1)
+        assert _counters(result.execution) == {
+            "total": 2, "executed": 1, "cached": 0,
+            "failed": 1, "retried": 3, "timed_out": 0,
+        }
+        assert seen == [(1, 2, False), (2, 2, False)]
+        (failure,) = result.failures
+        assert failure["index"] == 0
+        assert failure["job_hash"] == hashes[0]
+        assert failure["error_type"] == "TransientJobError"
+        assert failure["attempts"] == 3
+        assert [r.index for r in result.records] == [1]
+        assert self._saved_bytes(result, tmp_path / "brokered") == (
+            self._saved_bytes(serial, tmp_path / "serial")
+        )
+
+    def test_without_keep_going_a_failed_mission_raises(self, tmp_path):
+        campaign = _smoke_campaign()
+        job = campaign_jobs(campaign)[0]
+        plan = FaultPlan(
+            (FaultSpec(kind="raise", match=job.content_hash(), permanent=True),)
+        )
+        with Broker(str(tmp_path / "queue.db")) as broker:
+            enqueue_campaign(campaign, broker)
+            with injected(plan):
+                Worker(
+                    broker, worker_id="w", poll_s=0.01, exit_when_drained=True
+                ).run()
+            with pytest.raises(ExecError, match="keep_going") as info:
+                run_campaign(campaign, broker=broker, wait_timeout_s=60.0)
+        assert job.label in str(info.value)
