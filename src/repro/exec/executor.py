@@ -1,12 +1,13 @@
 """The one execution engine behind campaigns and experiments.
 
-Runs a list of :class:`~repro.exec.jobspec.JobSpec` through a serial
-loop or a supervised worker pool, with an optional persistent
-:class:`~repro.exec.cache.ResultCache` consulted first. All three paths
--- serial, pooled, cache hit -- return byte-identical results: jobs are
-self-contained and deterministic, and every result is normalized
-through the same JSON round trip before it reaches the caller (see
-:func:`~repro.exec.jobspec.json_roundtrip`).
+Runs a list of :class:`~repro.exec.jobspec.JobSpec` through one of
+three backends -- a serial loop, a supervised worker pool, or a
+:class:`~repro.exec.queue.Broker` queue drained by worker daemons --
+with an optional persistent :class:`~repro.exec.cache.ResultCache`
+consulted first. Every backend, and a cache hit, returns byte-identical
+results: jobs are self-contained and deterministic, and every result is
+normalized through the same JSON round trip before it reaches the
+caller (see :func:`~repro.exec.jobspec.json_roundtrip`).
 
 The engine is fault-tolerant. A :class:`RetryPolicy` gives every job a
 bounded number of attempts with deterministic backoff and an optional
@@ -40,13 +41,26 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import schemas
 from repro.errors import ExecError, JobTimeout, TransientJobError, WorkerCrash
 from repro.exec import faults
 from repro.exec.cache import ResultCache
 from repro.exec.jobspec import JobSpec, json_roundtrip
+
+if TYPE_CHECKING:  # queue.py imports this module
+    from repro.exec.queue import Broker
 
 #: Progress callback signature: ``(done, total, job, result, cached)``.
 #: ``cached`` is ``True`` when the result was not freshly executed for
@@ -330,14 +344,20 @@ class _Task:
 
 @dataclass
 class _Outcome:
-    """Final result of one unique job: a value or a failure envelope."""
+    """Final result of one unique job: a value or a failure envelope.
+
+    ``job_s`` is ``None`` when the job's wall clock is unknown (a broker
+    worker ran it); ``cached`` marks a value nobody executed for this
+    run (a worker-side cache hit, or a job the queue already held done).
+    """
 
     index: int
     attempts: int
     timeouts: int
     value: Any = None
-    job_s: float = 0.0
+    job_s: Optional[float] = None
     failure: Optional[JobFailure] = None
+    cached: bool = False
 
 
 def _failure_from_parts(
@@ -422,22 +442,35 @@ class _Worker:
 
 
 class Executor:
-    """Serial or process-pool job execution with caching and retries.
+    """Serial, pooled or brokered job execution with caching and retries.
 
     Args:
         workers: ``None``/``1`` for the serial path, ``0`` for one
             worker per CPU core, otherwise the pool size. If no pool
             can be created (restricted environments), execution falls
             back to the serial path -- results are identical either way.
+            Ignored with a ``broker``.
         cache: optional persistent result cache consulted before (and
             filled after) every execution; ``None`` disables caching.
         retry: per-job attempt/backoff/timeout policy; ``None`` means
-            one attempt, no timeout (the historical behavior).
+            one attempt, no timeout (the historical behavior). With a
+            ``broker`` it is the attempt budget the jobs are submitted
+            with.
         keep_going: when ``True``, a job that exhausts its attempts
             yields a :class:`JobFailure` in its result slot and its
             siblings keep running; when ``False`` (default) the first
             exhausted job aborts the batch with an
             :class:`~repro.errors.ExecError` naming the job.
+        broker: a :class:`~repro.exec.queue.Broker` to run the jobs
+            through instead of in-process: they are submitted
+            (idempotently), external :class:`~repro.exec.worker.Worker`
+            daemons drain the queue, and the executor polls for the
+            outcomes. Jobs the queue already holds done, and worker
+            cache hits, count as cached.
+        poll_s: broker only -- seconds between outcome polls.
+        wait_timeout_s: broker only -- give up (``ExecError``) after
+            this many seconds with jobs still unfinished; ``None``
+            waits forever.
 
     Example:
         >>> from repro.exec import Executor, JobSpec
@@ -459,11 +492,21 @@ class Executor:
         cache: Optional[ResultCache] = None,
         retry: Optional[RetryPolicy] = None,
         keep_going: bool = False,
+        broker: Optional["Broker"] = None,
+        poll_s: float = 0.2,
+        wait_timeout_s: Optional[float] = None,
     ) -> None:
+        if poll_s < 0:
+            raise ExecError(f"poll_s must be >= 0, got {poll_s}")
+        if wait_timeout_s is not None and wait_timeout_s <= 0:
+            raise ExecError(f"wait_timeout_s must be > 0, got {wait_timeout_s}")
         self.workers = resolve_workers(workers)
         self.cache = cache
         self.retry = retry or RetryPolicy()
         self.keep_going = keep_going
+        self.broker = broker
+        self.poll_s = poll_s
+        self.wait_timeout_s = wait_timeout_s
         self.last_report: Optional[ExecutionReport] = None
 
     def run(
@@ -594,21 +637,25 @@ class Executor:
                             value: Any = outcome.failure
                         else:
                             value = json_roundtrip(member_value)
-                            if self.cache is not None:
-                                self.cache.put(job, value)
-                            executed += 1
-                            timings.append(
-                                (
-                                    outcome.job_s / len(members),
-                                    job.label or job.content_hash()[:12],
+                            if not outcome.cached:
+                                if self.cache is not None:
+                                    self.cache.put(job, value)
+                                executed += 1
+                            if outcome.job_s is not None:
+                                timings.append(
+                                    (
+                                        outcome.job_s / len(members),
+                                        job.label or job.content_hash()[:12],
+                                    )
                                 )
-                            )
                         for k, i in enumerate(copies):
                             results[i] = value
                             served[i] = True
                             done += 1
                             if progress is not None:
-                                progress(done, total, jobs[i], value, k > 0)
+                                progress(
+                                    done, total, jobs[i], value, outcome.cached or k > 0
+                                )
                 units = [(jobs[i], [i]) for i in sorted(fallback)]
                 blocked = False
         finally:
@@ -641,11 +688,61 @@ class Executor:
 
     def _execute(self, tasks: List[_Task]) -> Iterator[_Outcome]:
         """Yield one final :class:`_Outcome` per task, in any order."""
+        if self.broker is not None:
+            return self._execute_brokered(tasks, self.broker)
         if self.workers > 1 and len(tasks) > 1:
             pooled = self._execute_pooled(tasks, min(self.workers, len(tasks)))
             if pooled is not None:
                 return pooled
         return (self._serial_outcome(task) for task in tasks)
+
+    # -- broker path ------------------------------------------------------
+
+    def _execute_brokered(
+        self, tasks: List[_Task], broker: "Broker"
+    ) -> Iterator[_Outcome]:
+        """Submit the tasks' jobs to ``broker`` and poll for their outcomes.
+
+        Retry accounting lives in the queue, which counts failed
+        attempts (a failed job's last one included) and reclaimed
+        leases; every attempt after a job's first counts as a retry.
+        """
+        waiting = {task.job.content_hash(): task for task in tasks}
+        broker.submit([task.job for task in tasks], retry=self.retry)
+        start = time.perf_counter()
+        first_poll = True
+        while True:
+            for content_hash, out in broker.outcomes(list(waiting)).items():
+                task = waiting.pop(content_hash)
+                failure = out.failure()
+                retries = out.reclaims + (
+                    out.attempts if failure is None else max(out.attempts - 1, 0)
+                )
+                yield _Outcome(
+                    index=task.index,
+                    attempts=retries + 1,
+                    timeouts=out.timeouts,
+                    value=None if failure is not None else out.result,
+                    failure=failure,
+                    cached=failure is None and (first_poll or out.cached),
+                )
+            if not waiting:
+                return
+            first_poll = False
+            elapsed = time.perf_counter() - start
+            if self.wait_timeout_s is not None and elapsed > self.wait_timeout_s:
+                counts = broker.counts()
+                raise ExecError(
+                    f"broker drain timed out after {elapsed:.1f} s with "
+                    f"{len(waiting)} of {len(tasks)} jobs unfinished (queue: "
+                    f"{counts.pending} pending, {counts.leased} leased) -- "
+                    f"are any workers running?"
+                )
+            # Dead workers are normally noticed by the next lease() call;
+            # reclaim here too so a fleet that died entirely still drains
+            # (to `failed` once reclaim budgets exhaust) instead of hanging.
+            broker.reclaim_expired()
+            time.sleep(self.poll_s)
 
     # -- serial path ------------------------------------------------------
 

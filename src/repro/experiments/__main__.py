@@ -156,10 +156,24 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
+    broker = None
+    try:
+        retry = RetryPolicy(max_attempts=args.retries, timeout_s=args.timeout)
+        broker = Broker(args.broker) if args.broker else None
+        _run_experiments(args, names, retry, broker)
+    except ExecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if broker is not None:
+            broker.close()
+    return 0
+
+
+def _run_experiments(args, names, retry, broker) -> None:
+    """Run each named experiment in turn and print its table or figure."""
     scale = FULL_SCALE if args.full else SMOKE_SCALE
     cache = open_cache(args.cache_dir, enabled=not args.no_cache)
-    retry = RetryPolicy(max_attempts=args.retries, timeout_s=args.timeout)
-    broker = Broker(args.broker) if args.broker else None
     if broker is not None:
         unsharded = [n for n in names if n not in _BROKER_AWARE]
         if unsharded:
@@ -188,9 +202,6 @@ def main(argv=None) -> int:
                 f"[cache: {cache.hits - hits} hits, "
                 f"{cache.misses - misses} misses ({cache.directory})]"
             )
-    if broker is not None:
-        broker.close()
-    return 0
 
 
 if __name__ == "__main__":

@@ -5,11 +5,12 @@ self-contained and owns an independent seed stream -- so they map 1:1
 onto execution-layer jobs: :func:`mission_job` turns a spec into a
 :class:`~repro.exec.jobspec.JobSpec` whose payload is the spec's plain
 dict (seed provenance lives on the job, not in the payload) and whose
-content hash keys the persistent result cache. Serial, pooled and
-cache-hit execution produce bit-identical records, merely in a
-different wall-clock order; records are re-sorted by mission index
-inside the :class:`~repro.sim.results.CampaignResult`, which makes the
-paths indistinguishable downstream. Fleet mode rides the same executor
+content hash keys the persistent result cache. Serial, pooled,
+brokered and cache-hit execution -- all one
+:class:`~repro.exec.Executor` call -- produce bit-identical records,
+merely in a different wall-clock order; records are re-sorted by
+mission index inside the :class:`~repro.sim.results.CampaignResult`,
+which makes the paths indistinguishable downstream. Fleet mode rides the same executor
 path: a ``group`` hook packs same-world missions into
 :func:`run_fleet_payload` block jobs, whose records are stored and
 reported per mission.
@@ -18,7 +19,6 @@ reported per mission.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from repro.errors import ExecError
 from repro.exec import (
     Broker,
     Executor,
-    ExecutionReport,
     JobFailure,
     JobSpec,
     ResultCache,
@@ -36,7 +35,6 @@ from repro.exec import (
     SubmitReport,
     default_cache_dir,
 )
-from repro.exec import resolve_workers  # noqa: F401  (re-export, see below)
 from repro.exec.executor import GroupFn
 from repro.exec.executor import ProgressCallback as ExecProgressCallback
 from repro.mission.closed_loop import ClosedLoopMission
@@ -227,7 +225,11 @@ def campaign_jobs(
     record: bool = False,
     trace_dir: Optional[str] = None,
 ) -> List[JobSpec]:
-    """The campaign's missions as execution-layer jobs, in mission order."""
+    """The campaign's missions as execution-layer jobs, in mission order.
+
+    With ``record`` and no ``trace_dir``, traces go to the default cache
+    directory.
+    """
     if record and trace_dir is None:
         trace_dir = default_cache_dir()
     return [
@@ -292,109 +294,6 @@ def enqueue_campaign(
     """
     return broker.submit(
         campaign_jobs(campaign, record=record, trace_dir=trace_dir), retry=retry
-    )
-
-
-def _drain_broker(
-    campaign: Campaign,
-    broker: Broker,
-    jobs: List[JobSpec],
-    progress: Optional[ProgressCallback],
-    exec_progress: Optional[ExecProgressCallback],
-    keep_going: bool,
-    poll_s: float,
-    wait_timeout_s: Optional[float],
-) -> CampaignResult:
-    """Poll ``broker`` until every campaign job finished; collect results."""
-    specs = campaign.missions()
-    hashes = [job.content_hash() for job in jobs]
-    by_hash = {h: job for h, job in zip(hashes, jobs)}
-    unique = list(by_hash)
-    pre_done = {
-        h for h, out in broker.outcomes(unique).items() if out.state == "done"
-    }
-    start = time.perf_counter()
-    finished: dict = {}
-    while True:
-        fresh = {
-            h: out
-            for h, out in broker.outcomes(unique).items()
-            if h not in finished
-        }
-        for h, out in fresh.items():
-            finished[h] = out
-            if progress is None and exec_progress is None:
-                continue
-            if out.state == "failed":
-                payload: object = out.failure()
-            else:
-                payload = out.result
-            done = len(finished)
-            cached = out.cached or h in pre_done
-            if exec_progress is not None:
-                exec_progress(done, len(unique), by_hash[h], payload, cached)
-            if progress is not None and not isinstance(payload, JobFailure):
-                progress(done, len(unique), MissionRecord.from_dict(payload))
-        if len(finished) == len(unique):
-            break
-        elapsed = time.perf_counter() - start
-        if wait_timeout_s is not None and elapsed > wait_timeout_s:
-            counts = broker.counts()
-            raise ExecError(
-                f"broker drain timed out after {elapsed:.1f} s with "
-                f"{counts.remaining} of {len(unique)} campaign jobs "
-                f"unfinished ({counts.pending} pending, {counts.leased} "
-                f"leased) -- are any workers running?"
-            )
-        # Dead workers are normally noticed by the next lease() call;
-        # reclaim here too so a fleet that died entirely still drains
-        # (to `failed` once reclaim budgets exhaust) instead of hanging.
-        broker.reclaim_expired()
-        time.sleep(poll_s)
-    elapsed = time.perf_counter() - start
-    records = []
-    failures = []
-    retried = timed_out = 0
-    executed = cached_n = failed_n = 0
-    for h in unique:
-        out = finished[h]
-        timed_out += out.timeouts
-        if out.state == "failed":
-            failed_n += 1
-            retried += max(out.attempts - 1, 0) + out.reclaims
-        else:
-            retried += out.attempts + out.reclaims
-            if out.cached or h in pre_done:
-                cached_n += 1
-            else:
-                executed += 1
-    for spec, h in zip(specs, hashes):
-        out = finished[h]
-        if out.state == "failed":
-            failure = out.failure()
-            if not keep_going:
-                raise ExecError(
-                    f"job {failure.summary()} "
-                    f"(pass keep_going to isolate failures)"
-                )
-            failures.append({"index": spec.index, **failure.to_dict()})
-        else:
-            records.append(MissionRecord.from_dict(out.result))
-    report = ExecutionReport(
-        total=len(jobs),
-        executed=executed,
-        cached=cached_n + (len(jobs) - len(unique)),
-        elapsed_s=elapsed,
-        failed=failed_n,
-        retried=retried,
-        timed_out=timed_out,
-    )
-    return CampaignResult(
-        campaign.to_dict(),
-        campaign.campaign_hash(),
-        records,
-        execution=report,
-        failures=failures,
     )
 
 
@@ -463,7 +362,8 @@ def run_campaign(
             and ``cache`` is the *workers'* concern; results are
             byte-identical to a serial in-process run. ``retry`` and
             ``keep_going`` keep their meaning (attempt budgets are
-            fixed at submit time).
+            fixed at submit time; without ``keep_going`` the first
+            failed mission the poll sees raises at once).
         poll_s: broker mode only -- seconds between outcome polls.
         wait_timeout_s: broker mode only -- give up (``ExecError``)
             after this many seconds without the queue draining;
@@ -488,9 +388,10 @@ def run_campaign(
         counters).
 
     Raises:
-        ExecError: for a negative ``workers`` count, a failed mission
-            without ``keep_going``, or ``fleet_block`` combined with
-            ``broker`` or ``record``.
+        ExecError: for a negative ``workers`` count or ``poll_s``, a
+            non-positive ``wait_timeout_s``, a failed mission without
+            ``keep_going``, or ``fleet_block`` combined with ``broker``
+            or ``record``.
 
     Example:
         >>> from repro.sim import Campaign, get_scenario, run_campaign
@@ -519,31 +420,18 @@ def run_campaign(
             f"fleet_block={fleet_block} cannot be combined with record: "
             f"flight traces come from the per-mission tick loop"
         )
-    store = None
-    if record:
-        if trace_dir is None:
-            trace_dir = cache.directory if cache is not None else default_cache_dir()
-        store = TraceStore(trace_dir)
-    if broker is not None:
-        jobs = campaign_jobs(campaign, record=record, trace_dir=trace_dir)
-        broker.submit(jobs, retry=retry)
-        return _drain_broker(
-            campaign,
-            broker,
-            jobs,
-            progress,
-            exec_progress,
-            keep_going,
-            poll_s,
-            wait_timeout_s,
-        )
+    if record and trace_dir is None and cache is not None:
+        trace_dir = cache.directory
     specs = campaign.missions()
-    jobs = [
-        mission_job(spec, trace_dir=trace_dir if record else None)
-        for spec in specs
-    ]
+    jobs = campaign_jobs(campaign, record=record, trace_dir=trace_dir)
     executor = Executor(
-        workers=workers, cache=cache, retry=retry, keep_going=keep_going
+        workers=workers,
+        cache=None if broker is not None else cache,
+        retry=retry,
+        keep_going=keep_going,
+        broker=broker,
+        poll_s=poll_s,
+        wait_timeout_s=wait_timeout_s,
     )
     combined = None
     if progress is not None or exec_progress is not None:
@@ -553,9 +441,11 @@ def run_campaign(
             if progress is not None and not isinstance(payload, JobFailure):
                 progress(done, total, MissionRecord.from_dict(payload))
     refresh = None
-    if store is not None:
+    if record and executor.cache is not None:
         # A cached scalar result without its trace artifact must re-fly
         # (determinism makes the re-stored result byte-identical).
+        store = TraceStore(trace_dir)
+
         def refresh(job):
             return not store.has(job.content_hash())
     group = _fleet_grouper(specs, jobs, fleet_block) if fleet else None

@@ -1,8 +1,8 @@
 """Property-based tests for JobSpec canonicalization and hashing.
 
-No hypothesis in the container, so the properties are driven by a
-seeded numpy generator: a few hundred random nested plain-data payloads
-per property, fully reproducible. The invariants under test are the
+The properties are driven by a seeded numpy generator rather than
+hypothesis: a few hundred random nested plain-data payloads per
+property, fully reproducible from the seed alone. The invariants under test are the
 load-bearing ones for the cache and the distributed queue:
 
 - ``to_dict`` / ``from_dict`` round-trips preserve the content hash

@@ -606,6 +606,19 @@ class TestCampaignByteIdentity:
             with pytest.raises(ExecError, match="are any workers running"):
                 run_campaign(campaign, broker=broker, wait_timeout_s=0.3, poll_s=0.05)
 
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"poll_s": -1.0}, "poll_s must be >= 0"),
+            ({"wait_timeout_s": 0.0}, "wait_timeout_s must be > 0"),
+        ],
+    )
+    def test_run_campaign_broker_rejects_bad_poll_knobs(self, tmp_path, knobs, match):
+        with Broker(str(tmp_path / "queue.db")) as broker:
+            with pytest.raises(ExecError, match=match):
+                run_campaign(_smoke_campaign(), broker=broker, **knobs)
+            assert broker.counts().total == 0  # refused before submitting
+
     def test_enqueue_campaign_is_idempotent(self, tmp_path):
         campaign = _smoke_campaign()
         with Broker(str(tmp_path / "queue.db")) as broker:

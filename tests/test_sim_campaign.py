@@ -234,10 +234,8 @@ class TestResultStore:
             assert record.distance_flown_m > 1.0
 
     def test_negative_workers_rejected(self):
-        # Worker validation moved into the execution layer; the runner
-        # re-exports it for compatibility.
+        # The execution layer validates the count before any mission flies.
         from repro.errors import ExecError
-        from repro.sim.runner import resolve_workers
 
-        with pytest.raises(ExecError):
-            resolve_workers(-1)
+        with pytest.raises(ExecError, match="workers must be >= 0"):
+            run_campaign(small_campaign(), workers=-1)

@@ -267,3 +267,40 @@ class TestCacheCommand:
     def test_cache_evict_needs_a_budget(self, tmp_path, capsys, cli):
         assert cli(["cache", "evict", "--cache-dir", str(tmp_path)]) == 2
         assert "--max-bytes and/or --max-age" in capsys.readouterr().err
+
+
+class TestExecErrorExit:
+    """Execution-layer errors end both CLIs with `error: ...` and exit 2."""
+
+    def test_experiments_rejects_zero_retries(self, capsys):
+        assert _experiments_main(["table4", "--retries", "0", "--no-cache"]) == 2
+        assert "error: max_attempts must be >= 1" in capsys.readouterr().err
+
+    def test_experiments_closes_the_broker_on_error(self, tmp_path, monkeypatch, capsys):
+        import repro.experiments.__main__ as cli
+        from repro.errors import ExecError
+
+        closed = []
+
+        class SpyBroker(cli.Broker):
+            def close(self):
+                closed.append(self.path)
+                super().close()
+
+        def boom(*_args):
+            raise ExecError("boom")
+
+        monkeypatch.setattr(cli, "Broker", SpyBroker)
+        monkeypatch.setitem(cli._EXPERIMENTS, "table3", boom)
+        db = str(tmp_path / "queue.db")
+        assert cli.main(["table3", "--broker", db, "--no-cache"]) == 2
+        assert "error: boom" in capsys.readouterr().err
+        assert closed == [db]
+
+    def test_sim_run_rejects_negative_poll(self, tmp_path, capsys):
+        argv = [
+            "run", "--scenario", "paper-room", "--flight-time", "3", "--quiet",
+            "--no-cache", "--broker", str(tmp_path / "queue.db"), "--poll", "-1",
+        ]
+        assert main(argv) == 2
+        assert "error: poll_s must be >= 0" in capsys.readouterr().err
